@@ -7,8 +7,13 @@
 //! accuracy in its experiments.
 
 use genclus_hin::ObjectId;
-use genclus_stats::simplex::cross_entropy;
+use genclus_stats::simplex::{cross_entropy, THETA_FLOOR};
 use genclus_stats::MembershipMatrix;
+use std::collections::BinaryHeap;
+
+mod index;
+
+pub use index::{search, CandidateIndex};
 
 /// Similarity function between a query membership `θ_i` and a candidate
 /// membership `θ_j`.
@@ -93,10 +98,10 @@ pub fn rank_row(
 }
 
 /// The `k` best candidates for `query_row`, descending, with the same
-/// deterministic tie-breaking as [`rank_candidates`]. Uses an `O(n)`
-/// selection + `O(k log k)` sort instead of sorting all `n` candidates —
-/// the serving top-k path scores every object of a type per query, so the
-/// full sort is measurable at batch sizes.
+/// deterministic tie-breaking as [`rank_candidates`]. One pass over the
+/// candidates into a bounded best-`k` buffer ([`BestK`]) instead of a full
+/// sort; the per-query terms of `sim` are computed once ([`QueryTerms`]),
+/// so every score is bit-identical to [`Similarity::score`].
 ///
 /// If `k ≥ candidates.len()` the full ranking is returned.
 pub fn top_k(
@@ -106,15 +111,209 @@ pub fn top_k(
     sim: Similarity,
     k: usize,
 ) -> Vec<(ObjectId, f64)> {
-    let mut scored: Vec<(ObjectId, f64)> = candidates
-        .iter()
-        .map(|&c| (c, sim.score(query_row, theta.row(c.index()))))
-        .collect();
-    if k < scored.len() {
-        scored.select_nth_unstable_by(k, cmp_scored);
-        scored.truncate(k);
+    let query = QueryTerms::new(sim, query_row);
+    let mut best = BestK::new(k, candidates.len());
+    scan(
+        theta,
+        &query,
+        candidates,
+        |_, row| row_norm(row),
+        None,
+        &mut best,
+    );
+    best.into_sorted()
+}
+
+/// `‖row‖₂`, summed exactly as [`Similarity::score`] sums both cosine
+/// norms — the one formula every precomputed norm must use.
+#[inline]
+fn row_norm(row: &[f64]) -> f64 {
+    row.iter().map(|b| b * b).sum::<f64>().sqrt()
+}
+
+/// The per-query terms of a [`Similarity`], computed once per query instead
+/// of once per candidate: the query norm for `Cosine` and
+/// `ln(max(q_c, THETA_FLOOR))` for `NegCrossEntropy`. Scores are
+/// bit-identical to [`Similarity::score`]: the same operations run on the
+/// same operands in the same order, only hoisted out of the candidate loop.
+#[derive(Debug)]
+pub struct QueryTerms<'a> {
+    sim: Similarity,
+    row: &'a [f64],
+    /// [`row_norm`] of `row` (`Cosine` only).
+    norm: f64,
+    /// `ln(max(row[c], THETA_FLOOR))` per cluster (`NegCrossEntropy` only).
+    ln_row: Vec<f64>,
+}
+
+impl<'a> QueryTerms<'a> {
+    /// Prepares `row` for scoring under `sim`.
+    pub fn new(sim: Similarity, row: &'a [f64]) -> Self {
+        let norm = match sim {
+            Similarity::Cosine => row_norm(row),
+            _ => 0.0,
+        };
+        let ln_row = match sim {
+            Similarity::NegCrossEntropy => row.iter().map(|&q| q.max(THETA_FLOOR).ln()).collect(),
+            _ => Vec::new(),
+        };
+        Self {
+            sim,
+            row,
+            norm,
+            ln_row,
+        }
     }
-    scored.sort_by(cmp_scored);
+
+    /// Scores `candidate`; `norm` yields its [`row_norm`] and is called only
+    /// under `Cosine`, so precomputed norms can stand in for it.
+    #[inline]
+    fn score(&self, candidate: &[f64], norm: impl FnOnce() -> f64) -> f64 {
+        match self.sim {
+            Similarity::Cosine => {
+                let dot: f64 = self.row.iter().zip(candidate).map(|(a, b)| a * b).sum();
+                let nb = norm();
+                if self.norm == 0.0 || nb == 0.0 {
+                    0.0
+                } else {
+                    dot / (self.norm * nb)
+                }
+            }
+            Similarity::NegEuclidean => -self
+                .row
+                .iter()
+                .zip(candidate)
+                .map(|(a, b)| (a - b) * (a - b))
+                .sum::<f64>()
+                .sqrt(),
+            // `cross_entropy(candidate, row)` with the query's logarithms
+            // taken from the table.
+            Similarity::NegCrossEntropy => -candidate
+                .iter()
+                .zip(&self.ln_row)
+                .filter(|(&pk, _)| pk > 0.0)
+                .map(|(&pk, &lq)| -pk * lq)
+                .sum::<f64>(),
+        }
+    }
+}
+
+/// A ranked candidate ordered by `cmp_scored`: `Greater` ranks later, so
+/// a max-heap of them keeps the worst kept candidate on top.
+#[derive(Debug, Clone, Copy)]
+struct Ranked((ObjectId, f64));
+
+impl Ord for Ranked {
+    fn cmp(&self, other: &Self) -> std::cmp::Ordering {
+        cmp_scored(&self.0, &other.0)
+    }
+}
+
+impl PartialOrd for Ranked {
+    fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
+        Some(self.cmp(other))
+    }
+}
+
+impl PartialEq for Ranked {
+    fn eq(&self, other: &Self) -> bool {
+        self.cmp(other).is_eq()
+    }
+}
+
+impl Eq for Ranked {}
+
+/// The best `k` of a stream of scored candidates, ranked like [`top_k`]. A
+/// max-heap holds the kept entries with the worst on top, so a candidate
+/// costs one comparison unless it displaces that worst entry.
+///
+/// The heap is sized `min(k, n)` for `n` candidates and never grows past
+/// it, so a huge `k` (the wire accepts `"k": 4294967295`) allocates no
+/// more than the candidate count, and no offer allocates.
+#[derive(Debug)]
+pub struct BestK {
+    heap: BinaryHeap<Ranked>,
+    k: usize,
+    /// Candidate count the buffer was sized for.
+    n: usize,
+}
+
+impl BestK {
+    /// An empty buffer keeping the best `k` of `n` candidates.
+    pub fn new(k: usize, n: usize) -> Self {
+        Self {
+            heap: BinaryHeap::with_capacity(k.min(n)),
+            k,
+            n,
+        }
+    }
+
+    /// Offers one candidate; returns whether it was kept.
+    #[inline]
+    fn offer(&mut self, id: ObjectId, score: f64) -> bool {
+        let entry = Ranked((id, score));
+        if self.heap.len() < self.k {
+            self.heap.push(entry);
+            return true;
+        }
+        match self.heap.peek_mut() {
+            Some(mut worst) if entry < *worst => {
+                *worst = entry;
+                true
+            }
+            _ => false,
+        }
+    }
+
+    /// The `k`-th best score once `k` candidates are kept (`None` before,
+    /// and always for `k = 0`).
+    #[inline]
+    fn kth(&self) -> Option<f64> {
+        match self.heap.peek() {
+            Some(worst) if self.heap.len() == self.k => Some(worst.0 .1),
+            _ => None,
+        }
+    }
+
+    /// Whether `k < n`: only then can the buffer fill before the last
+    /// candidate and a bound on the `k`-th score skip anything.
+    fn is_selective(&self) -> bool {
+        self.k < self.n
+    }
+
+    /// The kept candidates, best first.
+    pub fn into_sorted(self) -> Vec<(ObjectId, f64)> {
+        self.heap
+            .into_sorted_vec()
+            .into_iter()
+            .map(|r| r.0)
+            .collect()
+    }
+}
+
+/// The one scan kernel behind [`top_k`] and [`CandidateIndex`]: offers
+/// every candidate of `ids` except `exclude` to `best` and returns how many
+/// it scored. `norm_of(i, row)` is the [`row_norm`] of `ids[i]`, whose
+/// `Θ` row is `row`.
+fn scan(
+    theta: &MembershipMatrix,
+    query: &QueryTerms<'_>,
+    ids: &[ObjectId],
+    norm_of: impl Fn(usize, &[f64]) -> f64,
+    exclude: Option<ObjectId>,
+    best: &mut BestK,
+) -> usize {
+    let mut scored = 0;
+    // lint: region(hot-path)
+    for (i, &c) in ids.iter().enumerate() {
+        if Some(c) == exclude {
+            continue;
+        }
+        let row = theta.row(c.index());
+        best.offer(c, query.score(row, || norm_of(i, row)));
+        scored += 1;
+    }
+    // lint: end-region
     scored
 }
 
@@ -374,6 +573,47 @@ mod tests {
         let ranked = rank_row(&theta, &folded, &candidates, Similarity::NegEuclidean);
         assert_eq!(ranked[0].0, ObjectId(1));
         assert_eq!(ranked.last().unwrap().0, ObjectId(0));
+    }
+
+    #[test]
+    fn query_terms_score_bit_identically_to_similarity_score() {
+        let rows = [
+            vec![0.7, 0.2, 0.1],
+            vec![0.0, 0.5, 0.5],
+            vec![0.0, 0.0, 0.0],
+            vec![f64::NAN, 0.5, 0.5],
+            vec![3.0, 4.0, 1e-300],
+            vec![f64::INFINITY, 1.0, 0.0],
+            vec![-0.0, 1e-13, 1.0],
+        ];
+        for sim in Similarity::ALL {
+            for q in &rows {
+                let terms = QueryTerms::new(sim, q);
+                for c in &rows {
+                    assert_eq!(
+                        terms.score(c, || row_norm(c)).to_bits(),
+                        sim.score(q, c).to_bits(),
+                        "{sim:?} {q:?} {c:?}"
+                    );
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn best_k_never_allocates_past_the_candidate_count() {
+        let best = BestK::new(u32::MAX as usize, 3);
+        assert!(best.heap.capacity() < 16);
+        let theta = MembershipMatrix::from_rows(&[vec![0.9, 0.1], vec![0.2, 0.8]], 2);
+        let candidates = [ObjectId(0), ObjectId(1)];
+        let top = top_k(
+            &theta,
+            &[0.5, 0.5],
+            &candidates,
+            Similarity::Cosine,
+            usize::MAX,
+        );
+        assert_eq!(top.len(), 2);
     }
 
     #[test]

@@ -18,6 +18,18 @@
 //!   inferred membership);
 //! * `{"op":"stats"}` — snapshot geometry and the learned `γ`.
 //!
+//! Rankings (`top_k`, and `fold_in`/commit with `"k"`) search one
+//! [`CandidateIndex`] per object type, built when the core is constructed
+//! — at load, and by the refresh that publishes a new core — so no
+//! request copies a candidate list or recomputes a norm. Each index holds
+//! the members' row norms and their order along one coordinate of the
+//! normalised row; a cosine query walks outward from its own key and stops
+//! where no remaining member can reach the current `k`-th score. The walk
+//! is exact and its scores are bit-identical to `Similarity::score` (see
+//! `genclus_core::prediction::CandidateIndex`); other similarities scan
+//! the same arrays in place, and an untyped request searches every type's
+//! index into one best-`k` buffer.
+//!
 //! Batches are executed across the persistent
 //! [`WorkerPool`](genclus_core::pool::WorkerPool) (one chunk per worker,
 //! responses in request order). Requests are independent and the engine is
@@ -31,8 +43,9 @@ use crate::json::Json;
 use crate::metrics::{op_label, ServeMetrics};
 use crate::snapshot::Snapshot;
 use genclus_core::pool::WorkerPool;
-use genclus_core::{top_k, Similarity};
-use genclus_hin::{HinGraph, ObjectId};
+use genclus_core::prediction::{search, CandidateIndex};
+use genclus_core::Similarity;
+use genclus_hin::{HinGraph, ObjectId, ObjectTypeId};
 use genclus_stats::simplex::argmax;
 use std::sync::{Arc, Mutex};
 
@@ -55,9 +68,9 @@ pub struct QueryEngine {
 /// The shareable request handler: snapshot + candidate indexes, no pool.
 pub struct QueryCore {
     snapshot: Snapshot,
-    /// Candidate lists: one per object type, plus all objects.
-    by_type: Vec<Vec<ObjectId>>,
-    all: Vec<ObjectId>,
+    /// One [`CandidateIndex`] per object type, built with the core — at
+    /// load and by the refresh that publishes it, off the request path.
+    indexes: Vec<CandidateIndex>,
     /// Shared observability registry — `Arc`'d so a refreshed engine keeps
     /// accumulating into the same process-lifetime counters.
     metrics: Arc<ServeMetrics>,
@@ -76,15 +89,19 @@ impl QueryEngine {
     pub fn with_metrics(snapshot: Snapshot, threads: usize, metrics: Arc<ServeMetrics>) -> Self {
         let threads = threads.max(1);
         let graph = snapshot.graph();
-        let by_type = (0..graph.schema().n_object_types())
-            .map(|t| graph.objects_of_type(genclus_hin::ObjectTypeId::from_index(t)))
+        let mut members = vec![Vec::new(); graph.schema().n_object_types()];
+        for v in graph.objects() {
+            members[graph.object_type(v).index()].push(v);
+        }
+        let theta = &snapshot.model().theta;
+        let indexes = members
+            .iter()
+            .map(|m| CandidateIndex::build(theta, m))
             .collect();
-        let all = graph.objects().collect();
         Self {
             core: Arc::new(QueryCore {
                 snapshot,
-                by_type,
-                all,
+                indexes,
                 metrics,
             }),
             pool: (threads > 1).then(|| WorkerPool::new(threads)),
@@ -244,24 +261,35 @@ impl QueryCore {
         }
     }
 
-    /// Candidate set: all objects, or one type when `"type"` is given.
-    pub(crate) fn candidates(&self, req: &Json) -> Result<&[ObjectId], ServeError> {
-        match req.get("type").and_then(Json::as_str) {
-            None => Ok(&self.all),
-            Some(name) => {
-                let t = self
-                    .graph()
+    /// Candidate type: `None` (every type) unless `"type"` is given.
+    pub(crate) fn candidate_type(&self, req: &Json) -> Result<Option<ObjectTypeId>, ServeError> {
+        req.get("type")
+            .and_then(Json::as_str)
+            .map(|name| {
+                self.graph()
                     .schema()
                     .object_type_by_name(name)
-                    .ok_or_else(|| {
-                        ServeError::BadRequest(format!("unknown object type {name:?}"))
-                    })?;
-                Ok(&self.by_type[t.index()])
-            }
-        }
+                    .ok_or_else(|| ServeError::BadRequest(format!("unknown object type {name:?}")))
+            })
+            .transpose()
     }
 
-    pub(crate) fn ranked_json(&self, ranked: &[(ObjectId, f64)]) -> Json {
+    /// The `k` candidates of type `t` (every type when `None`) most similar
+    /// to `query_row`, `exclude` left out, rendered as `[[name, score], …]`.
+    pub(crate) fn ranked_json(
+        &self,
+        query_row: &[f64],
+        sim: Similarity,
+        k: usize,
+        t: Option<ObjectTypeId>,
+        exclude: Option<ObjectId>,
+    ) -> Json {
+        let indexes = match t {
+            Some(t) => std::slice::from_ref(&self.indexes[t.index()]),
+            None => &self.indexes[..],
+        };
+        let theta = &self.snapshot.model().theta;
+        let ranked = search(theta, indexes, query_row, sim, k, exclude);
         Json::Arr(
             ranked
                 .iter()
@@ -297,17 +325,11 @@ impl QueryCore {
             })
             .transpose()?
             .unwrap_or(10);
-        let theta = &self.snapshot.model().theta;
-        let candidates: Vec<ObjectId> = self
-            .candidates(req)?
-            .iter()
-            .copied()
-            .filter(|&c| c != v)
-            .collect();
-        let ranked = top_k(theta, theta.row(v.index()), &candidates, sim, k);
+        let t = self.candidate_type(req)?;
+        let row = self.snapshot.model().membership(v);
         Ok(vec![
             ("object", Json::str(self.graph().object_name(v))),
-            ("results", self.ranked_json(&ranked)),
+            ("results", self.ranked_json(row, sim, k, t, Some(v))),
         ])
     }
 
@@ -468,10 +490,8 @@ impl QueryCore {
                 ServeError::BadRequest("\"k\" must be a non-negative integer".into())
             })?;
             let sim = Self::similarity(req)?;
-            let theta = &self.snapshot.model().theta;
-            let candidates = self.candidates(req)?;
-            let ranked = top_k(theta, &result.theta, candidates, sim, k);
-            fields.push(("results", self.ranked_json(&ranked)));
+            let t = self.candidate_type(req)?;
+            fields.push(("results", self.ranked_json(&result.theta, sim, k, t, None)));
         }
         Ok(fields)
     }

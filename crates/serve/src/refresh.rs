@@ -1506,9 +1506,10 @@ impl RefreshableEngine {
             })
             .transpose()?;
         let sim = QueryCore::similarity(req)?;
-        if k.is_some() {
-            let _ = self.engine.core().candidates(req)?;
-        }
+        let t = match k {
+            Some(_) => self.engine.core().candidate_type(req)?,
+            None => None,
+        };
         let folded = self.commit_with_links(&name, object_type, &fold_req, &in_links)?;
         let mut fields = vec![
             ("theta", Json::nums(&folded.theta)),
@@ -1520,10 +1521,11 @@ impl RefreshableEngine {
         // Rank against the *current* (pre-refresh) model — the same one
         // the folded row was inferred under, matching plain fold_in.
         if let Some(k) = k {
-            let core = self.engine.core();
-            let theta = &self.engine.snapshot().model().theta;
-            let ranked = genclus_core::top_k(theta, &folded.theta, core.candidates(req)?, sim, k);
-            fields.push(("results", core.ranked_json(&ranked)));
+            let ranked = self
+                .engine
+                .core()
+                .ranked_json(&folded.theta, sim, k, t, None);
+            fields.push(("results", ranked));
         }
         if self.due_for_refresh() {
             // Exactly-one-fire semantics: `due_for_refresh` is a single
