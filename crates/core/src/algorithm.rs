@@ -14,7 +14,7 @@ use crate::error::GenClusError;
 use crate::history::{OuterIterationRecord, RunHistory};
 use crate::init::{initialize, validate_attributes};
 use crate::model::GenClusModel;
-use crate::objective::g1;
+use crate::objective::g1_on;
 use crate::strength::StrengthLearner;
 use genclus_hin::HinGraph;
 use genclus_stats::MembershipMatrix;
@@ -228,7 +228,10 @@ impl GenClus {
             cfg.variance_floor,
         )
         .with_smoothing(cfg.theta_smoothing);
-        let learner = StrengthLearner::new(cfg.sigma, cfg.newton.clone());
+        // The strength statistics' layout depends on the graph only: build
+        // it once for the whole alternation.
+        let mut strength =
+            StrengthLearner::new(cfg.sigma, cfg.newton.clone()).session(graph, cfg.n_clusters);
 
         let mut history = RunHistory::default();
         // Θ-movement tracking exists only to feed the trace hook; skip the
@@ -243,12 +246,21 @@ impl GenClus {
             let em_seconds = em_start.elapsed().as_secs_f64();
             theta = new_theta;
             components = new_components;
-            let g1_value = g1(graph, &cfg.attributes, &theta, &components, &gamma);
+            let g1_start = Instant::now();
+            let g1_value = g1_on(
+                engine.pool(),
+                graph,
+                &cfg.attributes,
+                &theta,
+                &components,
+                &gamma,
+            );
+            let objective_seconds = g1_start.elapsed().as_secs_f64();
 
             // Step 2: strength learning at fixed (Θ, β).
             let s_start = Instant::now();
             let outcome = if n_relations > 0 {
-                learner.learn(graph, &theta, &gamma)
+                strength.learn(&theta, &gamma, engine.pool())
             } else {
                 crate::strength::StrengthOutcome {
                     gamma: Vec::new(),
@@ -274,6 +286,8 @@ impl GenClus {
                 em_iterations,
                 em_seconds,
                 strength_seconds,
+                newton_iterations: outcome.iterations,
+                objective_seconds,
             });
             if tracing {
                 let theta_movement = prev_theta.map_or(0.0, |p| theta.max_abs_diff(&p));
@@ -284,6 +298,8 @@ impl GenClus {
                         ("em_iterations", em_iterations as f64),
                         ("em_seconds", em_seconds),
                         ("strength_seconds", strength_seconds),
+                        ("newton_iterations", outcome.iterations as f64),
+                        ("objective_seconds", objective_seconds),
                         ("objective_g1", g1_value),
                         ("objective_g2", outcome.objective),
                         ("theta_movement", theta_movement),
@@ -472,11 +488,63 @@ mod tests {
                 Some(record.em_iterations as f64)
             );
             assert_eq!(event.field("objective_g1"), Some(record.g1));
+            assert_eq!(
+                event.field("newton_iterations"),
+                Some(record.newton_iterations as f64)
+            );
+            assert_eq!(
+                event.field("objective_seconds"),
+                Some(record.objective_seconds)
+            );
+            assert!(record.newton_iterations >= 1);
             assert!(event.field("em_seconds").unwrap() >= 0.0);
             assert!(event.field("queue_depth").is_some());
         }
         // The first iteration moves Θ away from the random init.
         assert!(events[0].field("theta_movement").unwrap() > 0.0);
+    }
+
+    #[test]
+    fn fits_are_bit_identical_across_thread_counts() {
+        // Enough objects for several reduction chunks: EM's β merge, g₁ and
+        // strength learning all sum per-chunk partials in chunk order.
+        let g = planted(13, 1100);
+        assert!(g.n_objects() > 2 * crate::pool::CHUNK);
+        let fit_with = |threads: usize| {
+            let mut cfg = GenClusConfig::new(2, vec![AttributeId(0)])
+                .with_seed(13)
+                .with_outer_iters(3)
+                .with_threads(threads);
+            cfg.em_iters = 4;
+            GenClus::new(cfg).unwrap().fit(&g).unwrap()
+        };
+        let serial = fit_with(1);
+        let bytes = |fit: &GenClusFit| {
+            let mut out = Vec::new();
+            for c in &fit.model.components {
+                c.to_bytes(&mut out);
+            }
+            out
+        };
+        for threads in [2, 3] {
+            let par = fit_with(threads);
+            assert_eq!(
+                serial.model.theta.max_abs_diff(&par.model.theta),
+                0.0,
+                "{threads} threads changed Θ"
+            );
+            assert_eq!(bytes(&serial), bytes(&par), "{threads} threads changed β");
+            let bits = |g: &[f64]| g.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+            assert_eq!(
+                bits(&serial.model.gamma),
+                bits(&par.model.gamma),
+                "{threads} threads changed γ"
+            );
+            for (a, b) in serial.history.records.iter().zip(&par.history.records) {
+                assert_eq!(a.g1.to_bits(), b.g1.to_bits());
+                assert_eq!(a.g2.to_bits(), b.g2.to_bits());
+            }
+        }
     }
 
     #[test]

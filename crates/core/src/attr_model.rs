@@ -13,6 +13,7 @@
 //! observation statistics; [`ComponentAccumulator`] collects those per worker
 //! thread and merges across threads.
 
+use crate::pool::padded_zeros;
 use genclus_hin::AttributeData;
 use rand::Rng;
 
@@ -397,18 +398,20 @@ pub enum ComponentAccumulator {
 }
 
 impl ComponentAccumulator {
-    /// A zeroed accumulator shaped like `components`.
+    /// A zeroed accumulator shaped like `components`. Its buffers share no
+    /// cache line with other allocations: the EM step's workers update the
+    /// accumulators of different row chunks at once.
     pub fn zeros_like(components: &ClusterComponents) -> Self {
         match components {
             ClusterComponents::Categorical(c) => Self::Categorical {
                 k: c.n_clusters(),
                 m: c.vocab_size(),
-                counts: vec![0.0; c.n_clusters() * c.vocab_size()],
+                counts: padded_zeros(c.n_clusters() * c.vocab_size()),
             },
             ClusterComponents::Gaussian(g) => Self::Gaussian {
-                sum_w: vec![0.0; g.n_clusters()],
-                sum_wx: vec![0.0; g.n_clusters()],
-                sum_wx2: vec![0.0; g.n_clusters()],
+                sum_w: padded_zeros(g.n_clusters()),
+                sum_wx: padded_zeros(g.n_clusters()),
+                sum_wx2: padded_zeros(g.n_clusters()),
             },
         }
     }

@@ -27,13 +27,13 @@
 //!   (`theta_old`); the new rows land in a separate output buffer. This is
 //!   what makes the pass embarrassingly parallel and makes the result
 //!   independent of both object order and thread count.
-//! * **Chunk determinism.** Workers process contiguous row ranges and each
+//! * **Chunk determinism.** Workers claim fixed-size row chunks
+//!   ([`crate::pool::CHUNK`], independent of the thread count) and each
 //!   row's arithmetic is identical in serial and parallel mode, so `Θ` is
-//!   bit-for-bit the same for every thread count (the
-//!   `parallel_step_matches_serial_exactly` tests assert ≤ 1e-12, and in
-//!   practice the difference is exactly zero). Only the per-thread `β`
-//!   accumulator *merge* reorders float additions; components therefore
-//!   agree across thread counts to summation round-off, not bit-exactly.
+//!   bit-for-bit the same for every thread count. Each chunk accumulates its
+//!   own `β` statistics, and the chunk partials are merged in chunk order,
+//!   so the components are bit-identical across thread counts too
+//!   (`fits_are_bit_identical_across_thread_counts` in `algorithm.rs`).
 //! * **Log-table caching.** The inner loop evaluates **zero `ln` calls**:
 //!   `ln β` lives in a table inside
 //!   [`CategoricalComponents`](crate::attr_model::CategoricalComponents)
@@ -48,9 +48,11 @@
 //!   the max subtraction — `θ_k·exp(s_k − max s)` has the same normalization
 //!   as `exp(ln θ_k + s_k − max)` — and skip the argmax entry's
 //!   `exp(0) = 1`, leaving `K − 1` `exp`s and no `ln` per observation.
-//! * **Buffer reuse.** Per-thread scratch ([`ThreadScratch`]: `β`
-//!   accumulators and the responsibility row) is owned by the engine and
-//!   zeroed — never reallocated — on each step;
+//! * **Buffer reuse.** The per-chunk `β` accumulators ([`ChunkPartial`])
+//!   and the per-worker responsibility rows are owned by the engine,
+//!   allocated on the caller with a cache line of slack so that no two
+//!   workers update the same line, and zeroed — never reallocated — on
+//!   each step;
 //!   [`EmEngine::run`] double-buffers `Θ` across iterations (one swap per
 //!   iteration, no per-step matrix allocation); the worker threads
 //!   themselves are spawned once per engine in a persistent
@@ -71,7 +73,7 @@
 use crate::attr_model::{
     CategoricalComponents, ClusterComponents, ComponentAccumulator, GaussianComponents,
 };
-use crate::pool::{DisjointRows, WorkerPool};
+use crate::pool::{self, DisjointRows, WorkerPool};
 use genclus_hin::{AttributeData, AttributeId, HinGraph};
 use genclus_stats::simplex::normalize_floored;
 use genclus_stats::MembershipMatrix;
@@ -179,19 +181,18 @@ pub struct EmStepResult {
     pub max_delta: f64,
 }
 
-/// Per-worker reusable scratch: `β` sufficient statistics and the
-/// responsibility row of the observation being processed.
+/// One row chunk's share of a step: its `β` sufficient statistics and
+/// its max-abs membership delta.
 #[derive(Debug, Default)]
-struct ThreadScratch {
+struct ChunkPartial {
     accs: Vec<ComponentAccumulator>,
-    resp: Vec<f64>,
     max_delta: f64,
 }
 
-impl ThreadScratch {
-    /// Readies the scratch for one step: zeroes (or, on shape change,
-    /// rebuilds) the accumulators and sizes the row buffers.
-    fn prepare(&mut self, components: &[ClusterComponents], k: usize) {
+impl ChunkPartial {
+    /// Readies the partial for one step: zeroes (or, on shape change,
+    /// rebuilds) the accumulators.
+    fn prepare(&mut self, components: &[ClusterComponents]) {
         let shapes_match = self.accs.len() == components.len()
             && self
                 .accs
@@ -208,8 +209,6 @@ impl ThreadScratch {
                 .map(ComponentAccumulator::zeros_like)
                 .collect();
         }
-        self.resp.clear();
-        self.resp.resize(k, 0.0);
         self.max_delta = 0.0;
     }
 }
@@ -223,14 +222,15 @@ pub struct EmEngine<'g> {
     graph: &'g HinGraph,
     attr_ids: Vec<AttributeId>,
     k: usize,
-    threads: usize,
     beta_floor: f64,
     variance_floor: f64,
     theta_smoothing: f64,
     /// Persistent workers (`None` when `threads == 1`).
     pool: Option<WorkerPool>,
-    /// One scratch per worker slot (slot 0 doubles as the serial scratch).
-    scratch: Vec<ThreadScratch>,
+    /// One partial per row chunk, merged in chunk order.
+    chunks: Vec<ChunkPartial>,
+    /// One responsibility row per worker slot.
+    resp: Vec<Vec<f64>>,
     /// Retired `Θ` buffer, recycled by the next `step` / `run`.
     spare: Option<MembershipMatrix>,
 }
@@ -252,17 +252,19 @@ impl<'g> EmEngine<'g> {
     ) -> Self {
         let threads = threads.max(1);
         let pool = (threads > 1).then(|| WorkerPool::new(threads));
-        let scratch = (0..threads).map(|_| ThreadScratch::default()).collect();
+        let resp = (0..pool::n_slots(pool.as_ref()))
+            .map(|_| pool::padded_zeros(k))
+            .collect();
         Self {
             graph,
             attr_ids: attr_ids.to_vec(),
             k,
-            threads,
             beta_floor,
             variance_floor,
             theta_smoothing: 0.0,
             pool,
-            scratch,
+            chunks: Vec::new(),
+            resp,
             spare: None,
         }
     }
@@ -279,6 +281,12 @@ impl<'g> EmEngine<'g> {
     /// Number of clusters.
     pub fn n_clusters(&self) -> usize {
         self.k
+    }
+
+    /// The engine's persistent workers (`None` when serial), lent to the
+    /// other per-object passes of a fit: strength learning and `g₁`.
+    pub fn pool(&self) -> Option<&WorkerPool> {
+        self.pool.as_ref()
     }
 
     /// Instantaneous worker-pool queue depth (always 0 when serial). An
@@ -369,77 +377,60 @@ impl<'g> EmEngine<'g> {
             .map(|&a| self.graph.attribute(a))
             .collect();
 
-        let n_jobs = if self.threads == 1 {
-            1
-        } else {
-            let rows_per_chunk = n.div_ceil(self.threads);
-            n.div_ceil(rows_per_chunk.max(1)).max(1)
-        };
-
-        if n_jobs == 1 {
-            let scratch = &mut self.scratch[0];
-            scratch.prepare(components, k);
-            process_range(
-                self.graph,
-                &tables,
-                components,
-                theta,
-                gamma,
-                0,
-                n,
-                out.as_mut_slice(),
-                scratch,
-                k,
-                smoothing,
-            );
-        } else {
-            let rows_per_chunk = n.div_ceil(self.threads);
+        let n_chunks = pool::n_chunks(n);
+        // An empty graph still gets one (empty) partial to finalize from.
+        self.chunks
+            .resize_with(n_chunks.max(1), ChunkPartial::default);
+        for chunk in &mut self.chunks {
+            chunk.prepare(components);
+        }
+        let pool = self.pool.as_ref();
+        {
             let graph = self.graph;
-            let pool = self.pool.as_ref().expect("threads > 1 implies a pool");
-            // Scratch is lent to the workers mutably-but-disjointly: worker
-            // `i` takes exactly `scratch[i]`, like the row chunks.
-            let scratch_cells: Vec<std::sync::Mutex<&mut ThreadScratch>> =
-                self.scratch.iter_mut().map(std::sync::Mutex::new).collect();
+            // Chunk partials and responsibility rows are lent to the workers
+            // mutably-but-disjointly: `for_each_chunk` runs each chunk once
+            // and never lets two running calls share a slot, so every lock
+            // below is uncontended.
+            let chunk_cells: Vec<std::sync::Mutex<&mut ChunkPartial>> =
+                self.chunks.iter_mut().map(std::sync::Mutex::new).collect();
+            let resp_cells: Vec<std::sync::Mutex<&mut Vec<f64>>> =
+                self.resp.iter_mut().map(std::sync::Mutex::new).collect();
             let rows = DisjointRows::new(out.as_mut_slice());
             let tables = &tables;
-            pool.broadcast(n_jobs, &|i| {
-                let start = i * rows_per_chunk;
-                let end = ((i + 1) * rows_per_chunk).min(n);
-                let mut scratch = scratch_cells[i]
+            pool::for_each_chunk(pool, n_chunks, &|slot, c| {
+                let range = pool::chunk_range(c, n);
+                let mut chunk = chunk_cells[c]
+                    .lock()
+                    .expect("chunk lock cannot be poisoned");
+                let mut resp = resp_cells[slot]
                     .lock()
                     .expect("scratch lock cannot be poisoned");
-                scratch.prepare(components, k);
-                // SAFETY: chunk `i` covers rows [start, end), disjoint from
-                // every other chunk.
-                let out_rows = unsafe { rows.slice_mut(start * k, end * k) };
-                process_range(
-                    graph,
-                    tables,
-                    components,
-                    theta,
-                    gamma,
-                    start,
-                    end,
-                    out_rows,
-                    &mut scratch,
-                    k,
+                // SAFETY: chunk `c` covers rows `range`, disjoint from every
+                // other chunk, and runs once.
+                let out_rows = unsafe { rows.slice_mut(range.start * k, range.end * k) };
+                let ChunkPartial { accs, max_delta } = &mut **chunk;
+                *max_delta = process_range(
+                    graph, tables, components, theta, gamma, range, out_rows, accs, &mut resp, k,
                     smoothing,
                 );
             });
         }
 
-        // Merge worker partials in chunk order (same order a serial pass
-        // would have accumulated them in).
-        let (first, rest) = self.scratch.split_at_mut(1);
-        let mut max_delta = first[0].max_delta;
-        for other in rest.iter().take(n_jobs.saturating_sub(1)) {
-            for (m, a) in first[0].accs.iter_mut().zip(&other.accs) {
+        // Merge the chunk partials in chunk order: the same additions in
+        // the same order for every thread count.
+        let (first, rest) = self.chunks.split_at_mut(1);
+        let first = &mut first[0];
+        let mut max_delta = first.max_delta;
+        // lint: region(hot-path)
+        for other in rest.iter() {
+            for (m, a) in first.accs.iter_mut().zip(&other.accs) {
                 m.merge(a);
             }
             max_delta = max_delta.max(other.max_delta);
         }
+        // lint: end-region
 
-        let new_components: Vec<ClusterComponents> = first[0]
+        let new_components: Vec<ClusterComponents> = first
             .accs
             .iter()
             .zip(components)
@@ -450,10 +441,10 @@ impl<'g> EmEngine<'g> {
     }
 }
 
-/// Processes objects `[start, end)`, writing new membership rows into
-/// `out_rows` (a flat slice starting at object `start`) and accumulating
-/// sufficient statistics into `scratch`. Leaves the local max-abs delta in
-/// `scratch.max_delta`.
+/// Processes the objects of `range`, writing new membership rows into
+/// `out_rows` (a flat slice starting at object `range.start`) and
+/// accumulating sufficient statistics into `accs`; `resp` is a `K`-long
+/// scratch row. Returns the range's max-abs membership delta.
 // lint: region(hot-path)
 #[allow(clippy::too_many_arguments)]
 fn process_range(
@@ -462,21 +453,17 @@ fn process_range(
     components: &[ClusterComponents],
     theta_old: &MembershipMatrix,
     gamma: &[f64],
-    start: usize,
-    end: usize,
+    range: std::ops::Range<usize>,
     out_rows: &mut [f64],
-    scratch: &mut ThreadScratch,
+    accs: &mut [ComponentAccumulator],
+    resp: &mut [f64],
     k: usize,
     smoothing: f64,
-) {
-    let ThreadScratch {
-        accs,
-        resp,
-        max_delta,
-    } = scratch;
+) -> f64 {
+    let start = range.start;
     let mut local_delta = 0.0f64;
 
-    for v_idx in start..end {
+    for v_idx in range {
         let v = genclus_hin::ObjectId::from_index(v_idx);
         let out_row = &mut out_rows[(v_idx - start) * k..(v_idx - start + 1) * k];
         out_row.iter_mut().for_each(|x| *x = 0.0);
@@ -539,7 +526,7 @@ fn process_range(
             local_delta = local_delta.max((o - t).abs());
         }
     }
-    *max_delta = local_delta;
+    local_delta
 }
 // lint: end-region
 
@@ -727,22 +714,23 @@ mod tests {
         let serial = engine(&g, attr, 1).step(&theta, &comps, &[1.0]);
         for threads in [2, 3, 4] {
             let par = engine(&g, attr, threads).step(&theta, &comps, &[1.0]);
-            assert!(
-                serial.theta.max_abs_diff(&par.theta) < 1e-12,
+            assert_eq!(
+                serial.theta.max_abs_diff(&par.theta),
+                0.0,
                 "thread count {threads} changed Θ"
             );
-            // Partial-accumulator merges reorder float additions; parameters
-            // agree to summation round-off, not bit-exactly.
+            // Chunk partials merge in chunk order whatever the thread
+            // count, so the parameters agree bit for bit.
             match (&serial.components[0], &par.components[0]) {
                 (ClusterComponents::Gaussian(a), ClusterComponents::Gaussian(b)) => {
                     for k in 0..2 {
-                        assert!((a.mean(k) - b.mean(k)).abs() < 1e-9);
-                        assert!((a.variance(k) - b.variance(k)).abs() < 1e-9);
+                        assert_eq!(a.mean(k).to_bits(), b.mean(k).to_bits());
+                        assert_eq!(a.variance(k).to_bits(), b.variance(k).to_bits());
                     }
                 }
                 _ => panic!("expected Gaussian components"),
             }
-            assert!((serial.max_delta - par.max_delta).abs() < 1e-12);
+            assert_eq!(serial.max_delta, par.max_delta);
         }
     }
 

@@ -22,6 +22,11 @@ pub struct OuterIterationRecord {
     pub em_seconds: f64,
     /// Wall-clock seconds of the strength-learning step.
     pub strength_seconds: f64,
+    /// Projected-Newton iterations of the strength-learning step.
+    pub newton_iterations: usize,
+    /// Wall-clock seconds of the `g₁` evaluation after the
+    /// cluster-optimization step.
+    pub objective_seconds: f64,
 }
 
 /// History of a full [`crate::algorithm::GenClus::fit`] run.
@@ -75,6 +80,8 @@ mod tests {
             em_iterations: em_iters,
             em_seconds: em_secs,
             strength_seconds: 0.01,
+            newton_iterations: 3,
+            objective_seconds: 0.002,
         }
     }
 

@@ -9,7 +9,7 @@ use crate::attr_model::ClusterComponents;
 use crate::config::{GenClusConfig, InitStrategy};
 use crate::em::EmEngine;
 use crate::error::GenClusError;
-use crate::objective::g1;
+use crate::objective::g1_on;
 use genclus_hin::HinGraph;
 use genclus_stats::{seeded_rng, MembershipMatrix};
 use rand::Rng;
@@ -78,7 +78,14 @@ pub fn initialize(
                 let (theta0, comps0) = random_state(graph, config, &mut rng);
                 let (theta, comps, _) =
                     engine.run(theta0, comps0, gamma, warmup_iters.max(1), config.em_tol);
-                let score = g1(graph, &config.attributes, &theta, &comps, gamma);
+                let score = g1_on(
+                    engine.pool(),
+                    graph,
+                    &config.attributes,
+                    &theta,
+                    &comps,
+                    gamma,
+                );
                 let better = best.as_ref().is_none_or(|(s, _, _)| score > *s);
                 if better {
                     best = Some((score, theta, comps));
@@ -93,6 +100,7 @@ pub fn initialize(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::objective::g1;
     use genclus_hin::{AttributeId, HinBuilder, Schema};
 
     fn network() -> HinGraph {

@@ -1,4 +1,5 @@
-//! A persistent scoped worker pool for the parallel E-step.
+//! A persistent scoped worker pool for a fit's per-object passes: the EM
+//! step, strength learning and the `g₁` objective.
 //!
 //! The seed implementation spawned fresh OS threads inside every
 //! [`crate::em::EmEngine::step`] call, so a 100-iteration EM run paid thread
@@ -18,14 +19,34 @@
 //! dedicate a pool to their submissions.
 //!
 //! [`DisjointRows`] is the companion write-side primitive: it lets the
-//! workers write concurrently into *disjoint* ranges of one flat `Θ` buffer
-//! without locking, with the disjointness obligation carried by the single
-//! `unsafe` call site in the engine.
+//! workers write concurrently into *disjoint* ranges of one flat `f64`
+//! buffer (`Θ` rows, per-object statistics, per-chunk partials) without
+//! locking, with the disjointness obligation carried by each `unsafe` call
+//! site.
+//!
+//! # Fixed-chunk reductions
+//!
+//! Every pass that *sums* over objects on the pool — the EM step's `β`
+//! statistics, strength learning's pseudo-likelihood derivatives
+//! ([`crate::strength`]) and the `g₁` objective ([`crate::objective`]) —
+//! splits the objects into [`CHUNK`]-sized chunks. The chunk size is a
+//! constant, never derived from the worker count. Workers claim chunks in
+//! turn ([`for_each_chunk`]) and write one partial per chunk; the caller
+//! adds the partials up in chunk order. A chunk's partial does not depend
+//! on which worker computed it, and the order of the final sum does not
+//! depend on the worker count, so the result is bit-identical for 1, 2 or
+//! N threads. [`ChunkBuffers`] holds the per-chunk partials and per-worker
+//! scratch rows of a flat `f64` reduction. Both are sized on the caller
+//! before a pass, so workers allocate nothing, and padded so that no two
+//! rows share a cache line: with the rows packed, two workers updating
+//! neighbouring rows made the pooled strength passes slower than serial
+//! ones.
 
 use std::cell::Cell;
 use std::marker::PhantomData;
+use std::ops::Range;
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::mpsc::{channel, Receiver, Sender, TryRecvError};
 use std::sync::Arc;
 use std::thread::JoinHandle;
@@ -243,12 +264,159 @@ impl Drop for WorkerPool {
     }
 }
 
+/// Objects per chunk of a fixed-chunk reduction (module doc). 2048 rows
+/// of `Θ` at `K = 4` are 64 KiB, and 100k objects make 49 chunks, enough
+/// for the workers to balance their load.
+pub(crate) const CHUNK: usize = 2048;
+
+/// Number of [`CHUNK`]-sized chunks covering `n` items.
+pub(crate) fn n_chunks(n: usize) -> usize {
+    n.div_ceil(CHUNK)
+}
+
+/// The items of chunk `c` of `n` items.
+pub(crate) fn chunk_range(c: usize, n: usize) -> Range<usize> {
+    c * CHUNK..((c + 1) * CHUNK).min(n)
+}
+
+/// Scratch slots a pass on `pool` needs: one per worker, or one when the
+/// pass runs serially.
+pub(crate) fn n_slots(pool: Option<&WorkerPool>) -> usize {
+    pool.map_or(1, WorkerPool::n_workers)
+}
+
+/// Runs `f(slot, c)` once for every chunk `c` in `0..n_chunks` and returns
+/// when all have finished. On `pool`, each worker claims chunks in turn and
+/// passes its own index as `slot` (below [`n_slots`]); with no pool, the
+/// chunks run in order on the caller with `slot = 0`. No two running calls
+/// share a chunk or a slot.
+///
+/// Claims alternate between the front and the back of the chunk range
+/// (`0, n−1, 1, n−2, …`), so two workers run chunks far apart rather than
+/// neighbours. On `dblp-100k`, whose objects of one type are stored
+/// together, that made the EM step ~20% faster than claiming in order
+/// (in-process A/B on a 2-vCPU host); `weather-100k` and the strength
+/// and `g₁` passes did not move.
+pub(crate) fn for_each_chunk(
+    pool: Option<&WorkerPool>,
+    n_chunks: usize,
+    f: &(dyn Fn(usize, usize) + Sync),
+) {
+    match pool {
+        Some(pool) if n_chunks > 1 => {
+            // The counter only hands out claim numbers (`Relaxed`
+            // suffices); what the chunks write reaches the caller through
+            // `broadcast`'s completion channel.
+            let next = AtomicUsize::new(0);
+            pool.broadcast(pool.n_workers().min(n_chunks), &|slot| loop {
+                let i = next.fetch_add(1, Ordering::Relaxed);
+                if i >= n_chunks {
+                    break;
+                }
+                let c = if i.is_multiple_of(2) {
+                    i / 2
+                } else {
+                    n_chunks - 1 - i / 2
+                };
+                f(slot, c);
+            });
+        }
+        _ => (0..n_chunks).for_each(|c| f(0, c)),
+    }
+}
+
+/// Caller-owned buffers of a flat fixed-chunk reduction: one partial row
+/// per chunk and one scratch row per worker slot. They are reused from one
+/// pass to the next and resized only on the caller.
+#[derive(Debug, Default)]
+pub(crate) struct ChunkBuffers {
+    partials: Vec<f64>,
+    scratch: Vec<f64>,
+}
+
+impl ChunkBuffers {
+    /// Sums `f` over the chunks of `0..n_items` into `out`.
+    ///
+    /// `f(items, partial, scratch)` adds the contribution of `items` to
+    /// `partial` (zeroed, `out.len()` wide); `scratch` is the calling
+    /// worker's row of `scratch_width` values, left as the last chunk on
+    /// that slot wrote it. The partials are added into `out` (zeroed first)
+    /// in chunk order, so `out` is the same for every pool size.
+    pub(crate) fn sum<F>(
+        &mut self,
+        pool: Option<&WorkerPool>,
+        n_items: usize,
+        scratch_width: usize,
+        out: &mut [f64],
+        f: &F,
+    ) where
+        F: Fn(Range<usize>, &mut [f64], &mut [f64]) + Sync,
+    {
+        let width = out.len();
+        let chunks = n_chunks(n_items);
+        // Rows are padded so that no two of them share a cache line: the
+        // workers update their rows object by object, and a line shared by
+        // two workers would bounce between their cores on every update.
+        let (stride, scratch_stride) = (padded(width), padded(scratch_width));
+        self.partials.resize(chunks * stride, 0.0);
+        self.scratch.resize(n_slots(pool) * scratch_stride, 0.0);
+        {
+            let partials = DisjointRows::new(&mut self.partials);
+            let scratch = DisjointRows::new(&mut self.scratch);
+            for_each_chunk(pool, chunks, &|slot, c| {
+                // SAFETY: `for_each_chunk` runs each chunk once and never
+                // lets two running calls share a slot, so the partial row of
+                // chunk `c` and the scratch row of `slot` are each held by
+                // one call at a time.
+                let (partial, scratch) = unsafe {
+                    (
+                        partials.slice_mut(c * stride, c * stride + width),
+                        scratch.slice_mut(
+                            slot * scratch_stride,
+                            slot * scratch_stride + scratch_width,
+                        ),
+                    )
+                };
+                partial.fill(0.0);
+                f(chunk_range(c, n_items), partial, scratch);
+            });
+        }
+        out.fill(0.0);
+        for partial in self.partials.chunks_exact(stride) {
+            for (o, p) in out.iter_mut().zip(partial) {
+                *o += p;
+            }
+        }
+    }
+}
+
+/// `width` rounded up to whole 64-byte lines, plus one line: rows this far
+/// apart never share a cache line, wherever the buffer starts.
+fn padded(width: usize) -> usize {
+    width.div_ceil(8) * 8 + 8
+}
+
+/// `len` zeros in a buffer with at least one cache line of spare capacity
+/// after them, so the used part shares no cache line with any other
+/// allocation's used part. For per-chunk and per-worker rows that
+/// different workers update at once: allocated back to back without the
+/// slack, neighbouring rows share lines, and the lines bounce between the
+/// workers' cores on every update.
+pub(crate) fn padded_zeros(len: usize) -> Vec<f64> {
+    let mut v = Vec::with_capacity(padded(len));
+    v.resize(len, 0.0);
+    v
+}
+
 /// A shareable writer over one flat `f64` buffer that hands out mutable
 /// sub-slices to concurrent workers.
 ///
 /// Safety contract: the ranges requested through [`Self::slice_mut`] while
-/// other slices are live must be pairwise disjoint. The EM engine satisfies
-/// it by giving worker `i` exclusively the rows of chunk `i`.
+/// other slices are live must be pairwise disjoint. Every caller satisfies
+/// it through [`for_each_chunk`], which runs each chunk once: the EM engine
+/// and the strength statistics' refill hand chunk `c` only its own objects'
+/// rows, and [`ChunkBuffers`] only chunk `c`'s partial and the running
+/// worker's scratch row.
 pub struct DisjointRows<'a> {
     ptr: *mut f64,
     len: usize,
@@ -340,6 +508,47 @@ mod tests {
         }
         let expected: Vec<f64> = (0..15).map(|x| x as f64).collect();
         assert_eq!(data, expected);
+    }
+
+    #[test]
+    fn for_each_chunk_runs_every_chunk_once() {
+        for n_chunks in [0, 1, 2, 5, 48, 49] {
+            for pool in [None, Some(WorkerPool::new(2)), Some(WorkerPool::new(3))] {
+                let hits: Vec<AtomicUsize> = (0..n_chunks).map(|_| AtomicUsize::new(0)).collect();
+                let slots = n_slots(pool.as_ref());
+                for_each_chunk(pool.as_ref(), n_chunks, &|slot, c| {
+                    assert!(slot < slots);
+                    hits[c].fetch_add(1, Ordering::Relaxed);
+                });
+                assert!(hits.iter().all(|h| h.load(Ordering::Relaxed) == 1));
+            }
+        }
+    }
+
+    #[test]
+    fn chunk_sums_are_identical_for_every_pool_size() {
+        // Terms of mixed magnitude, so that summation order shows in the
+        // last bits.
+        let n = 5 * CHUNK + 3;
+        let term = |i: usize| (i as f64 * 0.37).sin() * 10f64.powi((i % 7) as i32 - 3);
+        let sum_on = |pool: Option<&WorkerPool>| {
+            let mut out = [0.0; 2];
+            ChunkBuffers::default().sum(pool, n, 1, &mut out, &|items, partial, scratch| {
+                for i in items {
+                    scratch[0] = term(i);
+                    partial[0] += scratch[0];
+                    partial[1] += 1.0;
+                }
+            });
+            out
+        };
+        let serial = sum_on(None);
+        assert_eq!(serial[1], n as f64);
+        for threads in [2, 3] {
+            let pooled = sum_on(Some(&WorkerPool::new(threads)));
+            assert_eq!(pooled[0].to_bits(), serial[0].to_bits());
+            assert_eq!(pooled[1], serial[1]);
+        }
     }
 
     #[test]

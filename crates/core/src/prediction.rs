@@ -114,9 +114,9 @@ pub fn top_k(
     let query = QueryTerms::new(sim, query_row);
     let mut best = BestK::new(k, candidates.len());
     scan(
-        theta,
         &query,
         candidates,
+        |_, c| theta.row(c.index()),
         |_, row| row_norm(row),
         None,
         &mut best,
@@ -293,12 +293,12 @@ impl BestK {
 
 /// The one scan kernel behind [`top_k`] and [`CandidateIndex`]: offers
 /// every candidate of `ids` except `exclude` to `best` and returns how many
-/// it scored. `norm_of(i, row)` is the [`row_norm`] of `ids[i]`, whose
-/// `Θ` row is `row`.
-fn scan(
-    theta: &MembershipMatrix,
+/// it scored. `row_of(i, ids[i])` is the `Θ` row of `ids[i]`, and
+/// `norm_of(i, row)` its [`row_norm`].
+fn scan<'t>(
     query: &QueryTerms<'_>,
     ids: &[ObjectId],
+    row_of: impl Fn(usize, ObjectId) -> &'t [f64],
     norm_of: impl Fn(usize, &[f64]) -> f64,
     exclude: Option<ObjectId>,
     best: &mut BestK,
@@ -309,7 +309,7 @@ fn scan(
         if Some(c) == exclude {
             continue;
         }
-        let row = theta.row(c.index());
+        let row = row_of(i, c);
         best.offer(c, query.score(row, || norm_of(i, row)));
         scored += 1;
     }

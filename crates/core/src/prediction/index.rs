@@ -6,6 +6,10 @@
 //! * the members sorted by one coordinate of their normalised row,
 //!   `key = row[a] / norm` stored as `f32`, where `a` is the coordinate
 //!   with the most variance across the type;
+//! * a copy of the members' `Θ` rows in that key order (`K·8` bytes each),
+//!   so a walk streams consecutive rows instead of gathering scattered
+//!   ones from `Θ`: its cost no longer depends on where the allocator
+//!   placed `Θ` or on which rows happen to share cache lines;
 //! * a side list of members whose norm is zero, not finite, or too far from
 //!   1 for the rounding argument below (`Θ` rows never are: a simplex row's
 //!   norm lies in `[1/√K, 1]`).
@@ -48,28 +52,6 @@ const NORM_BAND: std::ops::RangeInclusive<f64> = 1e-100..=1e100;
 /// Bound on the change from rounding a key (`|key| ≤ 1`) to `f32`.
 const F32_KEY_ERROR: f64 = 1.0 / (1u32 << 24) as f64;
 
-/// How many members ahead, on each side, the walk prefetches `Θ` rows.
-const PREFETCH_AHEAD: usize = 12;
-
-/// Starts loading `row` into cache. The walk visits scattered rows of `Θ`
-/// and is bound by cache misses; requesting each row a dozen members
-/// early overlaps the misses instead of paying them in turn (a
-/// cold-cache cosine search on `weather-100k`, 2-vCPU x86_64 host: ~0.43
-/// → ~0.22 ms).
-#[inline(always)]
-fn prefetch(row: &[f64]) {
-    #[cfg(target_arch = "x86_64")]
-    // SAFETY: a prefetch is only a hint: it cannot fault, reads nothing
-    // into the program and writes nothing; `row` is a live borrow besides.
-    // SSE, which provides the instruction, is part of the x86_64 baseline.
-    unsafe {
-        use std::arch::x86_64::{_mm_prefetch, _MM_HINT_T0};
-        _mm_prefetch::<_MM_HINT_T0>(row.as_ptr().cast());
-    }
-    #[cfg(not(target_arch = "x86_64"))]
-    let _ = row;
-}
-
 /// `x`'s bits, mapped so that unsigned order is [`f32::total_cmp`] order.
 fn total_order_bits(x: f32) -> u32 {
     let bits = x.to_bits();
@@ -92,11 +74,11 @@ fn from_total_order_bits(bits: u32) -> f32 {
 /// Sorts `codes` by their top 32 bits, stably: a least-significant-digit
 /// radix sort, one byte per pass, skipping bytes every code shares (keys of
 /// one type's rows agree in their leading bytes).
-fn radix_sort_top_words(mut codes: Vec<u128>) -> Vec<u128> {
+fn radix_sort_top_words(mut codes: Vec<u64>) -> Vec<u64> {
     let mut counts = [[0usize; 256]; 4];
     for &code in &codes {
         for (digit, count) in counts.iter_mut().enumerate() {
-            count[(code >> (96 + 8 * digit)) as u8 as usize] += 1;
+            count[(code >> (32 + 8 * digit)) as u8 as usize] += 1;
         }
     }
     let mut spare = vec![0; codes.len()];
@@ -109,7 +91,7 @@ fn radix_sort_top_words(mut codes: Vec<u128>) -> Vec<u128> {
             (*slot, offset) = (offset, offset + *slot);
         }
         for &code in &codes {
-            let slot = &mut count[(code >> (96 + 8 * digit)) as u8 as usize];
+            let slot = &mut count[(code >> (32 + 8 * digit)) as u8 as usize];
             spare[*slot] = code;
             *slot += 1;
         }
@@ -133,6 +115,10 @@ pub struct CandidateIndex {
     keys: Vec<f32>,
     /// [`row_norm`] of `ids[i]`.
     norms: Vec<f64>,
+    /// `Θ` row of `ids[i]` at `rows[i·K..(i+1)·K]`.
+    rows: Vec<f64>,
+    /// Clusters `K`.
+    k: usize,
     /// Members outside the band, ascending by id; always scanned.
     degenerate: Vec<ObjectId>,
 }
@@ -142,8 +128,12 @@ impl CandidateIndex {
     /// order ascend by id).
     pub fn build(theta: &MembershipMatrix, members: &[ObjectId]) -> Self {
         let k = theta.n_clusters();
+        let in_band = |row: &[f64]| {
+            let norm = row_norm(row);
+            NORM_BAND.contains(&norm).then_some(norm)
+        };
         let mut degenerate = Vec::new();
-        let mut live = Vec::with_capacity(members.len());
+        let mut n_live = 0usize;
         // Per-coordinate sums of the normalised rows: the coordinate with
         // the most variance spreads the keys widest, so the walk's window
         // holds the fewest members.
@@ -151,12 +141,11 @@ impl CandidateIndex {
         let mut sum_sq = vec![0.0; k];
         for &v in members {
             let row = theta.row(v.index());
-            let norm = row_norm(row);
-            if !NORM_BAND.contains(&norm) {
+            let Some(norm) = in_band(row) else {
                 degenerate.push(v);
                 continue;
-            }
-            live.push((v, norm));
+            };
+            n_live += 1;
             for (c, &x) in row.iter().enumerate() {
                 let y = x / norm;
                 sum[c] += y;
@@ -164,38 +153,51 @@ impl CandidateIndex {
             }
         }
         degenerate.sort_unstable();
-        let m = live.len().max(1) as f64;
+        let m = n_live.max(1) as f64;
         let variance = |c: usize| sum_sq[c] / m - (sum[c] / m).powi(2);
         let axis = (0..k)
             .max_by(|&a, &b| variance(a).total_cmp(&variance(b)).then(b.cmp(&a)))
             .unwrap_or(0);
 
-        // Sort on integer codes `key bits | id | norm bits`: a radix sort
-        // over the key's four bytes orders all three arrays at once, and
-        // they come out in sequence. The build sits on the load path: for
-        // 66.7k members, encoding plus radix sort takes ~1.6 ms, where a
-        // comparator sort of `(key, id, norm)` tuples alone takes ~2.9 ms.
+        // Sort on integer codes `key bits | id`: a radix sort over the
+        // key's four bytes orders the members, and the ids and keys come
+        // out in sequence. The build sits on the load path: a comparator
+        // sort of `(key, id)` pairs is about twice as slow. The norms are
+        // recomputed from the copied rows, which hold the same values as
+        // `Θ`'s, so they are the same bits; the build holds no per-member
+        // buffer beyond the codes and their sort buffer.
         let order = radix_sort_top_words(
-            live.iter()
-                .map(|&(v, norm)| {
-                    let key = (theta.row(v.index())[axis] / norm) as f32;
-                    u128::from(total_order_bits(key)) << 96
-                        | u128::from(v.0) << 64
-                        | u128::from(norm.to_bits())
+            members
+                .iter()
+                .filter_map(|&v| {
+                    let row = theta.row(v.index());
+                    let key = (row[axis] / in_band(row)?) as f32;
+                    Some(u64::from(total_order_bits(key)) << 32 | u64::from(v.0))
                 })
                 .collect(),
         );
-
+        let ids: Vec<ObjectId> = order.iter().map(|&c| ObjectId(c as u32)).collect();
+        let keys = order
+            .iter()
+            .map(|&c| from_total_order_bits((c >> 32) as u32))
+            .collect();
+        drop(order);
+        let mut rows = Vec::with_capacity(ids.len() * k);
+        for &v in &ids {
+            rows.extend_from_slice(theta.row(v.index()));
+        }
+        let norms = (0..ids.len())
+            .map(|i| row_norm(&rows[i * k..(i + 1) * k]))
+            .collect();
         let delta = (k as f64 + 4.0) * f64::EPSILON;
         Self {
             axis,
             margin: (2.0 * ((2.0 * delta).sqrt() + 2.0 * delta + F32_KEY_ERROR)).max(1e-6),
-            ids: order.iter().map(|&c| ObjectId((c >> 64) as u32)).collect(),
-            keys: order
-                .iter()
-                .map(|&c| from_total_order_bits((c >> 96) as u32))
-                .collect(),
-            norms: order.iter().map(|&c| f64::from_bits(c as u64)).collect(),
+            ids,
+            keys,
+            norms,
+            rows,
+            k,
             degenerate,
         }
     }
@@ -218,18 +220,21 @@ impl CandidateIndex {
         if best.k == 0 {
             return 0;
         }
+        let sorted_row = |i: usize, _| self.row(i);
         let sorted_norm = |i: usize, _: &[f64]| self.norms[i];
         let mut scored = scan(
-            theta,
             query,
             &self.degenerate,
+            |_, c: ObjectId| theta.row(c.index()),
             |_, row| row_norm(row),
             exclude,
             best,
         );
         let key = match self.query_key(query) {
             Some(key) if best.is_selective() => key,
-            _ => return scored + scan(theta, query, &self.ids, sorted_norm, exclude, best),
+            _ => {
+                return scored + scan(query, &self.ids, sorted_row, sorted_norm, exclude, best);
+            }
         };
 
         let (ids, keys) = (&self.ids, &self.keys);
@@ -246,16 +251,10 @@ impl CandidateIndex {
                 (false, false) => break,
                 (true, up) if !up || key - key_at(lo - 1) <= key_at(hi) - key => {
                     lo -= 1;
-                    if let Some(ahead) = lo.checked_sub(PREFETCH_AHEAD) {
-                        prefetch(theta.row(ids[ahead].index()));
-                    }
                     lo
                 }
                 _ => {
                     hi += 1;
-                    if let Some(&ahead) = ids.get(hi - 1 + PREFETCH_AHEAD) {
-                        prefetch(theta.row(ahead.index()));
-                    }
                     hi - 1
                 }
             };
@@ -267,13 +266,19 @@ impl CandidateIndex {
                 continue;
             }
             scored += 1;
-            let score = query.score(theta.row(c.index()), || self.norms[i]);
+            let score = query.score(self.row(i), || self.norms[i]);
             if best.offer(c, score) {
                 radius = self.radius(best);
             }
         }
         // lint: end-region
         scored
+    }
+
+    /// The copied `Θ` row of `ids[i]`.
+    #[inline]
+    fn row(&self, i: usize) -> &[f64] {
+        &self.rows[i * self.k..(i + 1) * self.k]
     }
 
     /// The query's key, when the walk applies: a cosine query whose norm
@@ -344,6 +349,7 @@ mod tests {
                 index.norms[i].to_bits(),
                 row_norm(theta.row(v.index())).to_bits()
             );
+            assert_eq!(index.row(i), theta.row(v.index()));
         }
         assert_eq!(index.margin, 1e-6);
     }
@@ -355,12 +361,12 @@ mod tests {
         let keys = (0..5000u64)
             .map(|i| ((i * 7919 % 4999) as f32 - 2500.0) / 977.0)
             .chain([0.0, -0.0, 1e-30, -1e30]);
-        let mut codes: Vec<u128> = keys
+        let mut codes: Vec<u64> = keys
             .enumerate()
-            .map(|(p, x)| u128::from(total_order_bits(x)) << 96 | p as u128)
+            .map(|(p, x)| u64::from(total_order_bits(x)) << 32 | p as u64)
             .collect();
         for code in &codes {
-            let bits = (code >> 96) as u32;
+            let bits = (code >> 32) as u32;
             assert_eq!(total_order_bits(from_total_order_bits(bits)), bits);
         }
         let sorted = radix_sort_top_words(codes.clone());

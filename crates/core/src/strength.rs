@@ -18,213 +18,347 @@
 //! dissimilar memberships are *punished* with low strengths; consistent link
 //! types earn high strengths, and thereafter dominate membership propagation
 //! in the next cluster-optimization step.
+//!
+//! # Cost
+//!
+//! A fit calls strength learning once per outer iteration, on a `Θ` of
+//! 100k+ objects, so the pass structure matters:
+//!
+//! * **Layout once per fit.** Which `(object, relation)` entries exist and
+//!   their total weights `w` depend only on the graph. A
+//!   [`StrengthSession`] builds them once; each [`StrengthSession::learn`]
+//!   refills only the `Θ`-dependent `feat` and `s`.
+//! * **On the EM worker pool.** The refill, the value pass and the
+//!   derivative pass are fixed-chunk passes
+//!   ([`crate::pool::ChunkBuffers`]): per-chunk partials summed in chunk
+//!   order, so `γ` is bit-identical for every thread count. The session
+//!   borrows the pool that [`crate::em::EmEngine`] already owns.
+//! * **One fused derivative pass.** Each Newton iteration computes `α_i`,
+//!   `ψ(α_i)` and `ψ′(α_i)` once per object and accumulates the gradient and
+//!   the Hessian together ([`NewtonProblem::gradient_hessian`]).
+//! * **Workers allocate nothing.** Partials and per-worker `α`/`ψ`/`ψ′`
+//!   scratch are sized on the caller and reused across passes.
 
-use genclus_hin::HinGraph;
+use crate::pool::{self, ChunkBuffers, DisjointRows, WorkerPool};
+use genclus_hin::{HinGraph, ObjectId};
 use genclus_stats::dirichlet::ln_beta;
-use genclus_stats::special::{digamma, trigamma};
+use genclus_stats::newton::NewtonProblem;
+use genclus_stats::special::digamma_trigamma;
 use genclus_stats::{Matrix, MembershipMatrix, NewtonOptions, NewtonOutcome, ProjectedNewton};
+use std::cell::RefCell;
 
-/// Per-object, per-relation sufficient statistics of the pseudo-likelihood.
+/// Per-object, per-relation sufficient statistics of the pseudo-likelihood,
+/// stored column-wise.
 ///
-/// For object `i` and relation `r` with at least one out-link `⟨v_i, v_j⟩`:
-/// `w = Σ_e w(e)`, `feat = Σ_e w(e) Σ_k θ_{j,k} ln θ_{i,k}` (the feature sum
-/// divided by `γ_r`), and `s[k] = Σ_e w(e) θ_{j,k}` (so `α_ik = Σ_r γ_r s_irk
-/// + 1`).
-#[derive(Debug, Clone)]
-struct Entry {
-    r: usize,
-    w: f64,
-    feat: f64,
-    s_start: usize,
+/// Entry `e` stands for object `i` and relation `rel[e]` with at least one
+/// out-link `⟨v_i, v_j⟩`: `w[e] = Σ_e w(e)`, `feat[e] = Σ_e w(e) Σ_k θ_{j,k}
+/// ln θ_{i,k}` (the feature sum divided by `γ_r`), and `s[e·K..(e+1)·K]` holds
+/// `s_k = Σ_e w(e) θ_{j,k}` (so `α_ik = Σ_r γ_r s_irk + 1`). The entry
+/// ranges, `rel` and `w` depend on the graph only; `feat` and `s` are
+/// refilled for every `Θ`.
+#[derive(Debug)]
+struct Stats {
+    /// Entry ranges per object: entries `obj_ranges[i]..obj_ranges[i+1]`.
+    obj_ranges: Vec<usize>,
+    rel: Vec<usize>,
+    w: Vec<f64>,
+    feat: Vec<f64>,
+    s: Vec<f64>,
+    k: usize,
 }
 
-/// The concave objective `g₂'` as a [`genclus_stats::newton::NewtonProblem`].
+impl Stats {
+    /// The entries of object `v`.
+    #[inline]
+    fn entries(&self, v: usize) -> std::ops::Range<usize> {
+        self.obj_ranges[v]..self.obj_ranges[v + 1]
+    }
+
+    #[inline]
+    fn s(&self, e: usize) -> &[f64] {
+        &self.s[e * self.k..(e + 1) * self.k]
+    }
+
+    fn n_objects(&self) -> usize {
+        self.obj_ranges.len() - 1
+    }
+}
+
+/// The concave objective `g₂'` as a [`NewtonProblem`].
+#[derive(Debug)]
 struct PseudoLikelihood {
-    /// Entry ranges per object: `entries[obj_ranges[i]..obj_ranges[i+1]]`.
-    obj_ranges: Vec<usize>,
-    entries: Vec<Entry>,
-    /// Flat storage for all `s` vectors (length `entries.len() * k`).
-    s_values: Vec<f64>,
+    stats: Stats,
     n_relations: usize,
-    k: usize,
     sigma2: f64,
+    /// Reduction buffers reused by every pass.
+    buffers: RefCell<ChunkBuffers>,
 }
 
 impl PseudoLikelihood {
     /// Builds the statistics from the network and current memberships.
+    fn build(graph: &HinGraph, theta: &MembershipMatrix, sigma: f64) -> Self {
+        let mut problem = Self::layout(graph, theta.n_clusters(), sigma);
+        problem.refill(graph, theta, None);
+        problem
+    }
+
+    /// The graph-only part: entry ranges, relations and weights, with
+    /// `feat` and `s` sized but zero.
     ///
     /// The graph's per-relation out-link segments
     /// ([`HinGraph::out_relation_segments`]) already group every object's
-    /// links by relation, so the per-object statistics stream straight into
-    /// `entries` — no per-relation scratch accumulators, no re-bucketing of
-    /// links on every outer iteration. A graph carrying overflow segments
-    /// yields up to two consecutive chunks per relation (base, then
-    /// overflow); they accumulate into **one** entry, link by link in the
-    /// same order a compacted CSR would present — the statistics are
-    /// bit-identical either way.
-    fn build(graph: &HinGraph, theta: &MembershipMatrix, sigma: f64) -> Self {
-        let n_relations = graph.schema().n_relations();
-        let k = theta.n_clusters();
+    /// links by relation. A graph carrying overflow segments yields up to
+    /// two consecutive chunks per relation (base, then overflow); they
+    /// accumulate into **one** entry, link by link in the same order a
+    /// compacted CSR would present — the statistics are bit-identical
+    /// either way.
+    fn layout(graph: &HinGraph, k: usize, sigma: f64) -> Self {
         let mut obj_ranges = Vec::with_capacity(graph.n_objects() + 1);
-        let mut entries: Vec<Entry> = Vec::new();
-        let mut s_values = Vec::new();
-
-        // ln θ_i scratch, reused across objects.
-        let mut ln_ti = vec![0.0f64; k];
-
+        let mut rel: Vec<usize> = Vec::new();
+        let mut w: Vec<f64> = Vec::new();
         obj_ranges.push(0);
         for v in graph.objects() {
-            if graph.has_out_links(v) {
-                for (l, &x) in ln_ti.iter_mut().zip(theta.row(v.index())) {
-                    *l = x.ln();
-                }
-            }
-            let obj_start = entries.len();
-            for (rel, links) in graph.out_relation_segments(v) {
+            let obj_start = rel.len();
+            for (r, links) in graph.out_relation_segments(v) {
                 // An overflow chunk continues the relation's entry opened
                 // by its base chunk (chunks of one relation are adjacent).
-                let continues = entries.len() > obj_start
-                    && entries.last().expect("non-empty past obj_start").r == rel.index();
-                if !continues {
-                    let s_start = s_values.len();
-                    s_values.resize(s_start + k, 0.0);
-                    entries.push(Entry {
-                        r: rel.index(),
-                        w: 0.0,
-                        feat: 0.0,
-                        s_start,
-                    });
+                if rel.len() == obj_start || rel.last() != Some(&r.index()) {
+                    rel.push(r.index());
+                    w.push(0.0);
                 }
-                let e = entries.last_mut().expect("entry just ensured");
-                let s = &mut s_values[e.s_start..e.s_start + k];
+                let we = w.last_mut().expect("entry just ensured");
                 for link in links {
-                    let w = link.weight;
-                    e.w += w;
-                    let tj = theta.row(link.endpoint.index());
-                    let mut dot = 0.0;
-                    for (kk, &tjk) in tj.iter().enumerate() {
-                        dot += tjk * ln_ti[kk];
-                        s[kk] += w * tjk;
-                    }
-                    e.feat += w * dot;
+                    *we += link.weight;
                 }
             }
-            obj_ranges.push(entries.len());
+            obj_ranges.push(rel.len());
         }
-
+        let n_entries = rel.len();
         Self {
-            obj_ranges,
-            entries,
-            s_values,
-            n_relations,
-            k,
+            stats: Stats {
+                obj_ranges,
+                rel,
+                w,
+                feat: vec![0.0; n_entries],
+                s: vec![0.0; n_entries * k],
+                k,
+            },
+            n_relations: graph.schema().n_relations(),
             sigma2: sigma * sigma,
+            buffers: RefCell::new(ChunkBuffers::default()),
         }
     }
 
-    #[inline]
-    fn s(&self, e: &Entry) -> &[f64] {
-        &self.s_values[e.s_start..e.s_start + self.k]
+    /// Refills `feat` and `s` for `theta`, chunk-parallel on `pool`. Each
+    /// object's entries are a contiguous range, disjoint from every other
+    /// object's.
+    fn refill(&mut self, graph: &HinGraph, theta: &MembershipMatrix, pool: Option<&WorkerPool>) {
+        let Stats {
+            obj_ranges,
+            rel,
+            feat,
+            s,
+            k,
+            ..
+        } = &mut self.stats;
+        let (k, obj_ranges, rel) = (*k, &*obj_ranges, &*rel);
+        debug_assert_eq!(theta.n_clusters(), k);
+        let n = graph.n_objects();
+        let feat = DisjointRows::new(feat);
+        let s = DisjointRows::new(s);
+        pool::for_each_chunk(pool, pool::n_chunks(n), &|_, c| {
+            let objects = pool::chunk_range(c, n);
+            let (lo, hi) = (obj_ranges[objects.start], obj_ranges[objects.end]);
+            // SAFETY: chunk `c` runs once, and its objects own entries
+            // `lo..hi`, disjoint from every other chunk's.
+            let (feat, s) = unsafe { (feat.slice_mut(lo, hi), s.slice_mut(lo * k, hi * k)) };
+            refill_objects(graph, theta, obj_ranges, rel, objects, lo, feat, s, k);
+        });
     }
 
-    /// Objects that have at least one out-link, as entry ranges.
-    fn object_entries(&self) -> impl Iterator<Item = &[Entry]> {
-        self.obj_ranges
-            .windows(2)
-            .map(move |w| &self.entries[w[0]..w[1]])
-            .filter(|es| !es.is_empty())
+    /// `g₂'(γ)`, chunk-parallel on `pool`.
+    fn value_on(&self, pool: Option<&WorkerPool>, gamma: &[f64]) -> f64 {
+        let mut total = [0.0];
+        let st = &self.stats;
+        self.buffers.borrow_mut().sum(
+            pool,
+            st.n_objects(),
+            st.k,
+            &mut total,
+            &|objects, partial, alpha| {
+                // lint: region(hot-path)
+                for v in objects {
+                    let es = st.entries(v);
+                    if es.is_empty() {
+                        continue;
+                    }
+                    alpha.fill(1.0);
+                    for e in es {
+                        let g = gamma[st.rel[e]];
+                        partial[0] += g * st.feat[e];
+                        for (a, &sv) in alpha.iter_mut().zip(st.s(e)) {
+                            *a += g * sv;
+                        }
+                    }
+                    partial[0] -= ln_beta(alpha);
+                }
+                // lint: end-region
+            },
+        );
+        total[0] - gamma.iter().map(|g| g * g).sum::<f64>() / (2.0 * self.sigma2)
+    }
+
+    /// Gradient (Eq. 16) and Hessian (Eq. 17) in one chunk-parallel pass on
+    /// `pool`: `α_i`, `ψ(α_i)` and `ψ′(α_i)` are computed once per object.
+    fn gradient_hessian_on(
+        &self,
+        pool: Option<&WorkerPool>,
+        gamma: &[f64],
+        grad: &mut [f64],
+        hess: &mut Matrix,
+    ) {
+        let (st, k, nr) = (&self.stats, self.stats.k, self.n_relations);
+        debug_assert_eq!(hess.rows(), nr);
+        // One reduction row: the gradient, then the Hessian row-major.
+        let mut total = vec![0.0; nr + nr * nr];
+        self.buffers.borrow_mut().sum(
+            pool,
+            st.n_objects(),
+            2 * k,
+            &mut total,
+            &|objects, partial, scratch| {
+                let (grad, hess) = partial.split_at_mut(nr);
+                let (psi, psi1) = scratch.split_at_mut(k);
+                // lint: region(hot-path)
+                for v in objects {
+                    let es = st.entries(v);
+                    if es.is_empty() {
+                        continue;
+                    }
+                    // α_i lands in `psi1` and is replaced by ψ′(α_i) below.
+                    psi1.fill(1.0);
+                    for e in es.clone() {
+                        let g = gamma[st.rel[e]];
+                        for (a, &sv) in psi1.iter_mut().zip(st.s(e)) {
+                            *a += g * sv;
+                        }
+                    }
+                    let alpha_sum: f64 = psi1.iter().sum();
+                    for (p, p1) in psi.iter_mut().zip(psi1.iter_mut()) {
+                        (*p, *p1) = digamma_trigamma(*p1);
+                    }
+                    let (psi_sum, psi1_sum) = digamma_trigamma(alpha_sum);
+                    for e1 in es.clone() {
+                        let (r1, s1, w1) = (st.rel[e1], st.s(e1), st.w[e1]);
+                        // Eq. 16 per relation present at this object.
+                        let mut dot = 0.0;
+                        for (&p, &sv) in psi.iter().zip(s1) {
+                            dot += p * sv;
+                        }
+                        grad[r1] += st.feat[e1] - (dot - psi_sum * w1);
+                        // Eq. 17 over the relation pairs present at this
+                        // object; the Hessian is symmetric, so each pair is
+                        // computed once.
+                        for e2 in e1..es.end {
+                            let (r2, s2) = (st.rel[e2], st.s(e2));
+                            let mut acc = 0.0;
+                            for ((&p1, &a), &b) in psi1.iter().zip(s1).zip(s2) {
+                                acc -= p1 * a * b;
+                            }
+                            acc += psi1_sum * w1 * st.w[e2];
+                            hess[r1 * nr + r2] += acc;
+                            if e2 != e1 {
+                                hess[r2 * nr + r1] += acc;
+                            }
+                        }
+                    }
+                }
+                // lint: end-region
+            },
+        );
+        for r in 0..nr {
+            grad[r] = total[r] - gamma[r] / self.sigma2;
+            for c in 0..nr {
+                hess[(r, c)] = total[nr + r * nr + c];
+            }
+            hess[(r, r)] -= 1.0 / self.sigma2;
+        }
     }
 }
 
-impl genclus_stats::newton::NewtonProblem for PseudoLikelihood {
+/// Fills `feat` and `s` (the slices of entries `first..`) for `objects`.
+// lint: region(hot-path)
+#[allow(clippy::too_many_arguments)]
+fn refill_objects(
+    graph: &HinGraph,
+    theta: &MembershipMatrix,
+    obj_ranges: &[usize],
+    rel: &[usize],
+    objects: std::ops::Range<usize>,
+    first: usize,
+    feat: &mut [f64],
+    s: &mut [f64],
+    k: usize,
+) {
+    feat.fill(0.0);
+    s.fill(0.0);
+    for v in objects {
+        let (lo, hi) = (obj_ranges[v], obj_ranges[v + 1]);
+        if lo == hi {
+            continue;
+        }
+        // Entries follow the segments in order; an overflow chunk continues
+        // its relation's entry.
+        let mut e = lo;
+        for (r, links) in graph.out_relation_segments(ObjectId::from_index(v)) {
+            if rel[e] != r.index() {
+                e += 1;
+            }
+            debug_assert_eq!(rel[e], r.index());
+            let se = &mut s[(e - first) * k..(e - first + 1) * k];
+            for link in links {
+                let w = link.weight;
+                for (sk, &tjk) in se.iter_mut().zip(theta.row(link.endpoint.index())) {
+                    *sk += w * tjk;
+                }
+            }
+        }
+        // feat = Σ_e w(e) Σ_k θ_{j,k} ln θ_{i,k} = Σ_k ln θ_{i,k} s_k: one
+        // `ln` per object and cluster.
+        for (kk, &ti) in theta.row(v).iter().enumerate() {
+            let l = ti.ln();
+            for e in lo..hi {
+                feat[e - first] += s[(e - first) * k + kk] * l;
+            }
+        }
+    }
+}
+// lint: end-region
+
+impl NewtonProblem for PseudoLikelihood {
     fn value(&self, gamma: &[f64]) -> f64 {
-        let mut alpha = vec![0.0f64; self.k];
-        let mut total = 0.0;
-        for es in self.object_entries() {
-            alpha.iter_mut().for_each(|a| *a = 1.0);
-            for e in es {
-                total += gamma[e.r] * e.feat;
-                let s = self.s(e);
-                for (a, &sv) in alpha.iter_mut().zip(s) {
-                    *a += gamma[e.r] * sv;
-                }
-            }
-            total -= ln_beta(&alpha);
-        }
-        total - gamma.iter().map(|g| g * g).sum::<f64>() / (2.0 * self.sigma2)
+        self.value_on(None, gamma)
     }
 
-    fn gradient(&self, gamma: &[f64], out: &mut [f64]) {
-        out.iter_mut().for_each(|x| *x = 0.0);
-        let mut alpha = vec![0.0f64; self.k];
-        let mut psi = vec![0.0f64; self.k];
-        for es in self.object_entries() {
-            alpha.iter_mut().for_each(|a| *a = 1.0);
-            for e in es {
-                let s = self.s(e);
-                for (a, &sv) in alpha.iter_mut().zip(s) {
-                    *a += gamma[e.r] * sv;
-                }
-            }
-            let alpha_sum: f64 = alpha.iter().sum();
-            for (p, &a) in psi.iter_mut().zip(&alpha) {
-                *p = digamma(a);
-            }
-            let psi_sum = digamma(alpha_sum);
-            // Eq. 16 per relation present at this object.
-            for e in es {
-                let s = self.s(e);
-                let mut dot = 0.0;
-                for (kk, &sv) in s.iter().enumerate() {
-                    dot += psi[kk] * sv;
-                }
-                out[e.r] += e.feat - (dot - psi_sum * e.w);
-            }
-        }
-        for (r, o) in out.iter_mut().enumerate() {
-            *o -= gamma[r] / self.sigma2;
-        }
+    fn gradient_hessian(&self, gamma: &[f64], grad: &mut [f64], hess: &mut Matrix) {
+        self.gradient_hessian_on(None, gamma, grad, hess)
+    }
+}
+
+/// [`PseudoLikelihood`] with its passes on a worker pool.
+struct OnPool<'a> {
+    problem: &'a PseudoLikelihood,
+    pool: Option<&'a WorkerPool>,
+}
+
+impl NewtonProblem for OnPool<'_> {
+    fn value(&self, gamma: &[f64]) -> f64 {
+        self.problem.value_on(self.pool, gamma)
     }
 
-    fn hessian(&self, gamma: &[f64], out: &mut Matrix) {
-        debug_assert_eq!(out.rows(), self.n_relations);
-        for r1 in 0..self.n_relations {
-            for r2 in 0..self.n_relations {
-                out[(r1, r2)] = 0.0;
-            }
-        }
-        let mut alpha = vec![0.0f64; self.k];
-        let mut psi1 = vec![0.0f64; self.k];
-        for es in self.object_entries() {
-            alpha.iter_mut().for_each(|a| *a = 1.0);
-            for e in es {
-                let s = self.s(e);
-                for (a, &sv) in alpha.iter_mut().zip(s) {
-                    *a += gamma[e.r] * sv;
-                }
-            }
-            let alpha_sum: f64 = alpha.iter().sum();
-            for (p, &a) in psi1.iter_mut().zip(&alpha) {
-                *p = trigamma(a);
-            }
-            let psi1_sum = trigamma(alpha_sum);
-            // Eq. 17 over all relation pairs present at this object.
-            for e1 in es {
-                let s1 = self.s(e1);
-                for e2 in es {
-                    let s2 = self.s(e2);
-                    let mut acc = 0.0;
-                    for kk in 0..self.k {
-                        acc -= psi1[kk] * s1[kk] * s2[kk];
-                    }
-                    acc += psi1_sum * e1.w * e2.w;
-                    out[(e1.r, e2.r)] += acc;
-                }
-            }
-        }
-        for r in 0..self.n_relations {
-            out[(r, r)] -= 1.0 / self.sigma2;
-        }
+    fn gradient_hessian(&self, gamma: &[f64], grad: &mut [f64], hess: &mut Matrix) {
+        self.problem
+            .gradient_hessian_on(self.pool, gamma, grad, hess)
     }
 }
 
@@ -263,8 +397,52 @@ impl StrengthLearner {
         theta: &MembershipMatrix,
         gamma0: &[f64],
     ) -> StrengthOutcome {
-        debug_assert_eq!(gamma0.len(), graph.schema().n_relations());
-        let problem = PseudoLikelihood::build(graph, theta, self.sigma);
+        self.session(graph, theta.n_clusters())
+            .learn(theta, gamma0, None)
+    }
+
+    /// Prepares repeated strength learning on `graph` with `k` clusters:
+    /// the entry layout is built here, once, and every
+    /// [`StrengthSession::learn`] refills only the `Θ`-dependent statistics.
+    pub fn session<'g>(&self, graph: &'g HinGraph, k: usize) -> StrengthSession<'g> {
+        StrengthSession {
+            graph,
+            newton: self.newton.clone(),
+            problem: PseudoLikelihood::layout(graph, k, self.sigma),
+        }
+    }
+
+    /// Evaluates `g₂'(γ)` without optimizing (diagnostics and tests).
+    pub fn objective(&self, graph: &HinGraph, theta: &MembershipMatrix, gamma: &[f64]) -> f64 {
+        PseudoLikelihood::build(graph, theta, self.sigma).value(gamma)
+    }
+}
+
+/// Strength learning bound to one graph for a whole fit (see
+/// [`StrengthLearner::session`]). `learn` gives the same `γ`, bit for bit,
+/// as [`StrengthLearner::learn`], with or without a pool.
+#[derive(Debug)]
+pub struct StrengthSession<'g> {
+    graph: &'g HinGraph,
+    newton: NewtonOptions,
+    problem: PseudoLikelihood,
+}
+
+impl StrengthSession<'_> {
+    /// Maximizes `g₂'(γ)` for memberships `theta` starting from `gamma0`,
+    /// running every pass on `pool`'s workers when given.
+    pub fn learn(
+        &mut self,
+        theta: &MembershipMatrix,
+        gamma0: &[f64],
+        pool: Option<&WorkerPool>,
+    ) -> StrengthOutcome {
+        debug_assert_eq!(gamma0.len(), self.graph.schema().n_relations());
+        self.problem.refill(self.graph, theta, pool);
+        let problem = OnPool {
+            problem: &self.problem,
+            pool,
+        };
         let outcome: NewtonOutcome =
             ProjectedNewton::new(self.newton.clone()).maximize(gamma0, &problem);
         StrengthOutcome {
@@ -273,12 +451,6 @@ impl StrengthLearner {
             iterations: outcome.iterations,
             converged: outcome.converged,
         }
-    }
-
-    /// Evaluates `g₂'(γ)` without optimizing (diagnostics and tests).
-    pub fn objective(&self, graph: &HinGraph, theta: &MembershipMatrix, gamma: &[f64]) -> f64 {
-        use genclus_stats::newton::NewtonProblem;
-        PseudoLikelihood::build(graph, theta, self.sigma).value(gamma)
     }
 }
 

@@ -10,6 +10,18 @@
 //!   decrease, so a badly scaled Hessian cannot diverge;
 //! * gradient fallback — if the Hessian solve fails (e.g. an empty relation
 //!   makes it singular), a projected gradient-ascent step is taken instead.
+//!
+//! Each iteration asks the problem for its gradient and Hessian in one
+//! call ([`NewtonProblem::gradient_hessian`]), so a problem whose two
+//! derivatives share per-term work (like `g₂'`'s `α`, `ψ`, `ψ′`) computes
+//! it once. A projected Newton step that moves no coordinate by `tol` —
+//! the full step, or one halved by the line search — ends the solve at the
+//! current iterate without evaluating the candidate. For an objective of
+//! magnitude ~1e6 such a candidate's value differs from the current one
+//! only by rounding noise, and each noisy rejection would halve the step
+//! again, up to `max_backtracks` times, each time at the cost of a full
+//! objective pass. Gradient-fallback steps are always evaluated: they are
+//! small by design.
 
 use crate::matrix::Matrix;
 
@@ -41,10 +53,20 @@ impl Default for NewtonOptions {
 pub trait NewtonProblem {
     /// Objective value at `x`.
     fn value(&self, x: &[f64]) -> f64;
-    /// Gradient at `x`, written into `out` (same length as `x`).
-    fn gradient(&self, x: &[f64], out: &mut [f64]);
-    /// Hessian at `x`, written into the square matrix `out`.
-    fn hessian(&self, x: &[f64], out: &mut Matrix);
+    /// Gradient at `x` into `grad` (same length as `x`) and Hessian at `x`
+    /// into the square matrix `hess`, in one call.
+    fn gradient_hessian(&self, x: &[f64], grad: &mut [f64], hess: &mut Matrix);
+    /// Gradient alone (diagnostics and tests; the solver uses
+    /// [`Self::gradient_hessian`]).
+    fn gradient(&self, x: &[f64], out: &mut [f64]) {
+        let mut hess = Matrix::zeros(x.len(), x.len());
+        self.gradient_hessian(x, out, &mut hess);
+    }
+    /// Hessian alone (diagnostics and tests).
+    fn hessian(&self, x: &[f64], out: &mut Matrix) {
+        let mut grad = vec![0.0; x.len()];
+        self.gradient_hessian(x, &mut grad, out);
+    }
 }
 
 /// Result of a [`ProjectedNewton::maximize`] run.
@@ -88,14 +110,13 @@ impl ProjectedNewton {
 
         for _ in 0..self.options.max_iters {
             iterations += 1;
-            problem.gradient(&x, &mut grad);
-            problem.hessian(&x, &mut hess);
+            problem.gradient_hessian(&x, &mut grad, &mut hess);
 
             // Newton direction d solves H d = ∇; the ascent step is x − d
             // because H is negative definite for concave objectives.
             let direction = hess.solve(&grad);
-            let (step_dir, sign) = match direction {
-                Some(d) => (d, -1.0),
+            let (step_dir, sign, newton_step) = match direction {
+                Some(d) => (d, -1.0, true),
                 None => {
                     used_fallback = true;
                     (
@@ -103,6 +124,7 @@ impl ProjectedNewton {
                             .map(|&g| g * self.options.fallback_step)
                             .collect(),
                         1.0,
+                        false,
                     )
                 }
             };
@@ -116,9 +138,16 @@ impl ProjectedNewton {
                     .zip(&step_dir)
                     .map(|(&xi, &di)| (xi + sign * t * di).max(0.0))
                     .collect();
+                let delta = max_abs_delta(&x, &candidate);
+                if newton_step && delta < self.options.tol {
+                    // A Newton step this small, full or halved, is
+                    // convergence at `x`: its value would only measure the
+                    // objective's rounding noise.
+                    converged = true;
+                    break;
+                }
                 let cand_value = problem.value(&candidate);
                 if cand_value.is_finite() && cand_value >= value - 1e-12 {
-                    let delta = max_abs_delta(&x, &candidate);
                     x = candidate;
                     value = cand_value;
                     accepted = true;
@@ -173,16 +202,14 @@ mod tests {
                 .map(|(a, b)| (a - b) * (a - b))
                 .sum::<f64>()
         }
-        fn gradient(&self, x: &[f64], out: &mut [f64]) {
-            for ((o, &xi), &ci) in out.iter_mut().zip(x).zip(&self.c) {
+        fn gradient_hessian(&self, x: &[f64], grad: &mut [f64], hess: &mut Matrix) {
+            for ((o, &xi), &ci) in grad.iter_mut().zip(x).zip(&self.c) {
                 *o = -2.0 * (xi - ci);
             }
-        }
-        fn hessian(&self, _x: &[f64], out: &mut Matrix) {
-            let n = out.rows();
+            let n = hess.rows();
             for i in 0..n {
                 for j in 0..n {
-                    out[(i, j)] = if i == j { -2.0 } else { 0.0 };
+                    hess[(i, j)] = if i == j { -2.0 } else { 0.0 };
                 }
             }
         }
@@ -219,15 +246,13 @@ mod tests {
         fn value(&self, x: &[f64]) -> f64 {
             x.iter().map(|&v| (1.0 + v).ln() - 0.5 * v).sum()
         }
-        fn gradient(&self, x: &[f64], out: &mut [f64]) {
-            for (o, &v) in out.iter_mut().zip(x) {
+        fn gradient_hessian(&self, x: &[f64], grad: &mut [f64], hess: &mut Matrix) {
+            for (o, &v) in grad.iter_mut().zip(x) {
                 *o = 1.0 / (1.0 + v) - 0.5;
             }
-        }
-        fn hessian(&self, x: &[f64], out: &mut Matrix) {
             for i in 0..self.n {
                 for j in 0..self.n {
-                    out[(i, j)] = if i == j {
+                    hess[(i, j)] = if i == j {
                         -1.0 / ((1.0 + x[i]) * (1.0 + x[i]))
                     } else {
                         0.0
@@ -247,6 +272,80 @@ mod tests {
         }
     }
 
+    /// `1e6 + 1e5·Σ_k [ln(1 + x_k) − x_k/2]`, summed in 64 slices of
+    /// rising and falling terms, the way a large objective sums many
+    /// per-object terms. Every partial sum is ~1e6, so each addition rounds
+    /// at ~1e-10, and the computed value carries noise of that size that
+    /// does not follow the true objective.
+    /// Counts its value calls.
+    struct OffsetLogProblem {
+        n: usize,
+        values: std::cell::Cell<usize>,
+    }
+
+    impl OffsetLogProblem {
+        const SCALE: f64 = 1e5;
+    }
+
+    impl NewtonProblem for OffsetLogProblem {
+        fn value(&self, x: &[f64]) -> f64 {
+            self.values.set(self.values.get() + 1);
+            let slice = Self::SCALE / 64.0;
+            let mut total = 0.0;
+            for _ in 0..64 {
+                total += 1e6 / 64.0;
+                for &v in x {
+                    total += slice * (1.0 + v).ln();
+                    total -= slice * 0.5 * v;
+                }
+            }
+            total
+        }
+        fn gradient_hessian(&self, x: &[f64], grad: &mut [f64], hess: &mut Matrix) {
+            for (o, &v) in grad.iter_mut().zip(x) {
+                *o = Self::SCALE * (1.0 / (1.0 + v) - 0.5);
+            }
+            for i in 0..self.n {
+                for j in 0..self.n {
+                    hess[(i, j)] = if i == j {
+                        -Self::SCALE / ((1.0 + x[i]) * (1.0 + x[i]))
+                    } else {
+                        0.0
+                    };
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn converged_step_costs_no_line_search_on_a_large_objective() {
+        // Near the optimum a Newton step's true gain is far below the
+        // objective's rounding noise. Evaluating such a step can reject it
+        // and halve it up to `max_backtracks` times; a step under `tol`
+        // must end the solve instead, so each iteration costs at most one
+        // value call.
+        for start in 0..16 {
+            let x0: Vec<f64> = (0..3)
+                .map(|c| 0.05 + 0.37 * ((start * 3 + c) % 11) as f64)
+                .collect();
+            let p = OffsetLogProblem {
+                n: 3,
+                values: std::cell::Cell::new(0),
+            };
+            let out = ProjectedNewton::default().maximize(&x0, &p);
+            assert!(out.converged, "start {x0:?}");
+            for &v in &out.x {
+                assert!((v - 1.0).abs() < 1e-6, "start {x0:?}: {v}");
+            }
+            assert!(
+                p.values.get() <= out.iterations + 1,
+                "start {x0:?}: {} value calls in {} iterations",
+                p.values.get(),
+                out.iterations
+            );
+        }
+    }
+
     /// Objective whose Hessian is singular: forces the gradient fallback.
     struct SingularHessian;
 
@@ -254,15 +353,13 @@ mod tests {
         fn value(&self, x: &[f64]) -> f64 {
             -(x[0] + x[1] - 1.0).powi(2)
         }
-        fn gradient(&self, x: &[f64], out: &mut [f64]) {
+        fn gradient_hessian(&self, x: &[f64], grad: &mut [f64], hess: &mut Matrix) {
             let g = -2.0 * (x[0] + x[1] - 1.0);
-            out[0] = g;
-            out[1] = g;
-        }
-        fn hessian(&self, _x: &[f64], out: &mut Matrix) {
+            grad[0] = g;
+            grad[1] = g;
             for i in 0..2 {
                 for j in 0..2 {
-                    out[(i, j)] = -2.0; // rank 1 → singular
+                    hess[(i, j)] = -2.0; // rank 1 → singular
                 }
             }
         }

@@ -44,20 +44,61 @@ pub fn ln_gamma(x: f64) -> f64 {
 
 /// Digamma function `ψ(x) = d/dx ln Γ(x)` for `x > 0`.
 ///
-/// Applies the recurrence `ψ(x) = ψ(x + 1) − 1/x` until `x ≥ 6`, then an
+/// Applies the recurrence `ψ(x) = ψ(x + 1) − 1/x` until `x ≥ 10`, then an
 /// eight-term asymptotic (Stirling) series.
 pub fn digamma(x: f64) -> f64 {
     debug_assert!(x > 0.0, "digamma requires x > 0, got {x}");
     let mut x = x;
     let mut result = 0.0;
-    while x < 10.0 {
+    while x < RECURRENCE_TO {
         result -= 1.0 / x;
         x += 1.0;
     }
+    result + digamma_series(x)
+}
+
+/// Trigamma function `ψ'(x) = d²/dx² ln Γ(x)` for `x > 0`.
+///
+/// Same scheme as [`digamma`]: recurrence `ψ'(x) = ψ'(x + 1) + 1/x²` until
+/// `x ≥ 10`, then the asymptotic series.
+pub fn trigamma(x: f64) -> f64 {
+    debug_assert!(x > 0.0, "trigamma requires x > 0, got {x}");
+    let mut x = x;
+    let mut result = 0.0;
+    while x < RECURRENCE_TO {
+        let inv = 1.0 / x;
+        result += inv * inv;
+        x += 1.0;
+    }
+    result + trigamma_series(x)
+}
+
+/// `(ψ(x), ψ'(x))` in one pass: both recurrences step `x` alike, so they
+/// share the loop and its reciprocals. Bit-identical to
+/// `(digamma(x), trigamma(x))`.
+pub fn digamma_trigamma(x: f64) -> (f64, f64) {
+    debug_assert!(x > 0.0, "digamma_trigamma requires x > 0, got {x}");
+    let mut x = x;
+    let (mut psi, mut psi1) = (0.0, 0.0);
+    while x < RECURRENCE_TO {
+        let inv = 1.0 / x;
+        psi -= inv;
+        psi1 += inv * inv;
+        x += 1.0;
+    }
+    (psi + digamma_series(x), psi1 + trigamma_series(x))
+}
+
+/// Where the recurrences hand over to the asymptotic series.
+const RECURRENCE_TO: f64 = 10.0;
+
+/// The asymptotic series of `ψ(x)` for `x ≥ 10`.
+#[inline]
+fn digamma_series(x: f64) -> f64 {
     let inv = 1.0 / x;
     let inv2 = inv * inv;
     // ψ(x) ~ ln x − 1/(2x) − Σ B_{2n} / (2n x^{2n})
-    result + x.ln()
+    x.ln()
         - 0.5 * inv
         - inv2
             * (1.0 / 12.0
@@ -66,34 +107,22 @@ pub fn digamma(x: f64) -> f64 {
                         - inv2 * (1.0 / 252.0 - inv2 * (1.0 / 240.0 - inv2 * (1.0 / 132.0)))))
 }
 
-/// Trigamma function `ψ'(x) = d²/dx² ln Γ(x)` for `x > 0`.
-///
-/// Same scheme as [`digamma`]: recurrence `ψ'(x) = ψ'(x + 1) + 1/x²` up to
-/// `x ≥ 6`, then the asymptotic series.
-pub fn trigamma(x: f64) -> f64 {
-    debug_assert!(x > 0.0, "trigamma requires x > 0, got {x}");
-    let mut x = x;
-    let mut result = 0.0;
-    while x < 10.0 {
-        result += 1.0 / (x * x);
-        x += 1.0;
-    }
+/// The asymptotic series of `ψ'(x)` for `x ≥ 10`.
+#[inline]
+fn trigamma_series(x: f64) -> f64 {
     let inv = 1.0 / x;
     let inv2 = inv * inv;
     // ψ'(x) ~ 1/x + 1/(2x²) + Σ B_{2n} / x^{2n+1}
     // with B_2 = 1/6, B_4 = −1/30, B_6 = 1/42, B_8 = −1/30, B_10 = 5/66.
-    result
+    inv * (1.0
         + inv
-            * (1.0
+            * (0.5
                 + inv
-                    * (0.5
-                        + inv
-                            * (1.0 / 6.0
+                    * (1.0 / 6.0
+                        - inv2
+                            * (1.0 / 30.0
                                 - inv2
-                                    * (1.0 / 30.0
-                                        - inv2
-                                            * (1.0 / 42.0
-                                                - inv2 * (1.0 / 30.0 - inv2 * (5.0 / 66.0)))))))
+                                    * (1.0 / 42.0 - inv2 * (1.0 / 30.0 - inv2 * (5.0 / 66.0)))))))
 }
 
 #[cfg(test)]
@@ -170,6 +199,15 @@ mod tests {
                 "trigamma({x}) = {} vs numeric {numeric}",
                 trigamma(x)
             );
+        }
+    }
+
+    #[test]
+    fn fused_digamma_trigamma_is_bit_identical_to_the_separate_functions() {
+        for &x in &[1e-3, 0.5, 1.0, 1.7, 6.0, 9.999, 10.0, 10.5, 123.4, 1e6] {
+            let (psi, psi1) = digamma_trigamma(x);
+            assert_eq!(psi.to_bits(), digamma(x).to_bits(), "ψ({x})");
+            assert_eq!(psi1.to_bits(), trigamma(x).to_bits(), "ψ'({x})");
         }
     }
 
