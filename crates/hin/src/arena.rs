@@ -148,10 +148,10 @@ impl NameArena {
             return None;
         }
         for w in offsets.windows(2) {
-            if w[0] > w[1] {
-                return None;
-            }
-            if std::str::from_utf8(&bytes[w[0] as usize..w[1] as usize]).is_err() {
+            // `get` also refuses an offset past the end that a later,
+            // smaller one would have exposed as non-monotone.
+            let span = bytes.get(w[0] as usize..w[1] as usize)?;
+            if std::str::from_utf8(span).is_err() {
                 return None;
             }
         }
@@ -318,6 +318,9 @@ mod tests {
         assert_eq!(a.get(1), "cd");
         // Non-monotone offsets.
         assert!(NameArena::from_raw_parts(b"abcd".to_vec(), vec![0, 3, 2]).is_none());
+        // An offset past the end before a smaller final one: refused, not
+        // sliced out of bounds.
+        assert!(NameArena::from_raw_parts(b"abcd".to_vec(), vec![0, 100, 4]).is_none());
         // Final offset disagrees with the byte length.
         assert!(NameArena::from_raw_parts(b"abcd".to_vec(), vec![0, 2, 3]).is_none());
         // Empty offsets table.

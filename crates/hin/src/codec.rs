@@ -30,8 +30,8 @@ use crate::graph::{HinGraph, Link};
 use crate::ids::{ObjectId, ObjectTypeId, RelationId};
 use crate::schema::{AttributeKind, Schema};
 use genclus_stats::bytesio::{
-    put_bytes, put_f64_slice, put_str, put_u16_slice, put_u32_slice, put_u64, put_u64_slice,
-    ByteReader,
+    put_bytes, put_f64_iter, put_f64_slice, put_str, put_u16_iter, put_u32_iter, put_u32_slice,
+    put_u64, put_u64_iter, ByteReader,
 };
 
 const KIND_CATEGORICAL: u64 = 0;
@@ -119,14 +119,11 @@ impl Schema {
 
 /// Writes a link array as three packed parallel slices (endpoints,
 /// relations, weights) — struct-of-arrays keeps the encoding free of
-/// per-link padding.
+/// per-link padding. Each field is projected straight into `out`.
 fn put_links(out: &mut Vec<u8>, links: &[Link]) {
-    let endpoints: Vec<u32> = links.iter().map(|l| l.endpoint.0).collect();
-    let relations: Vec<u16> = links.iter().map(|l| l.relation.0).collect();
-    let weights: Vec<f64> = links.iter().map(|l| l.weight).collect();
-    put_u32_slice(out, &endpoints);
-    put_u16_slice(out, &relations);
-    put_f64_slice(out, &weights);
+    put_u32_iter(out, links.iter().map(|l| l.endpoint.0));
+    put_u16_iter(out, links.iter().map(|l| l.relation.0));
+    put_f64_iter(out, links.iter().map(|l| l.weight));
 }
 
 /// Reads a link array; validates endpoint/relation ranges and weight
@@ -175,17 +172,13 @@ fn put_attr_table(out: &mut Vec<u8>, table: &AttributeData) {
             // The wire format predates the CSR flattening (u64 offsets,
             // split term/value arrays) and is deliberately unchanged — the
             // schema bump is about the name block, not the attributes.
-            let wide: Vec<u64> = offsets.iter().map(|&o| o as u64).collect();
-            let terms: Vec<u32> = entries.iter().map(|&(t, _)| t).collect();
-            let values: Vec<f64> = entries.iter().map(|&(_, c)| c).collect();
-            put_u64_slice(out, &wide);
-            put_u32_slice(out, &terms);
-            put_f64_slice(out, &values);
+            put_u64_iter(out, offsets.iter().map(|&o| o as u64));
+            put_u32_iter(out, entries.iter().map(|&(t, _)| t));
+            put_f64_iter(out, entries.iter().map(|&(_, c)| c));
         }
         AttributeData::Numerical { offsets, values } => {
             put_u64(out, KIND_NUMERICAL);
-            let wide: Vec<u64> = offsets.iter().map(|&o| o as u64).collect();
-            put_u64_slice(out, &wide);
+            put_u64_iter(out, offsets.iter().map(|&o| o as u64));
             put_f64_slice(out, values);
         }
     }
@@ -304,8 +297,7 @@ impl HinGraph {
         };
         self.schema.to_bytes(out);
         put_u64(out, self.n_objects() as u64);
-        let types: Vec<u16> = self.obj_types.iter().map(|t| t.0).collect();
-        put_u16_slice(out, &types);
+        put_u16_iter(out, self.obj_types.iter().map(|t| t.0));
         if v1_names {
             for i in 0..self.obj_names.len() {
                 put_str(out, self.obj_names.get(i));

@@ -4,14 +4,14 @@
 //! inline on the serving thread, so every policy-triggered refresh froze
 //! query traffic for the full EM wall time. This module moves the heavy
 //! part — append the staged delta, run [`GenClus::fit_warm`], compact,
-//! serialize, optionally persist, then decode + index the refreshed
-//! snapshot into a ready [`QueryEngine`] — onto a dedicated one-worker
-//! [`WorkerPool`] via [`WorkerPool::submit`], and hands the finished
-//! engine back through a [`JobHandle`] the serving thread polls between
-//! requests. Reads keep answering from the old engine the whole time; the
-//! swap itself is a plain move on the serving thread (everything
-//! O(snapshot) — checksum, decode, candidate indexes, pool spawn — was
-//! paid on the worker).
+//! encode the refreshed snapshot once from the graph and model in hand,
+//! optionally persist those bytes, then index it into a ready
+//! [`QueryEngine`] — onto a dedicated one-worker [`WorkerPool`] via
+//! [`WorkerPool::submit`], and hands the finished engine back through a
+//! [`JobHandle`] the serving thread polls between requests. Reads keep
+//! answering from the old engine the whole time; the swap itself is a
+//! plain move on the serving thread (everything O(snapshot) — encode,
+//! checksum, candidate indexes, pool spawn — was paid on the worker).
 //!
 //! The split of responsibilities:
 //!
@@ -34,7 +34,7 @@ use crate::engine::QueryEngine;
 use crate::error::ServeError;
 use crate::metrics::ServeMetrics;
 use crate::refresh::RefreshOutcome;
-use crate::snapshot::{save_bytes, to_bytes, Snapshot};
+use crate::snapshot::{save_bytes, Snapshot};
 use genclus_core::pool::{JobHandle, WorkerPool};
 use genclus_core::{GenClus, GenClusConfig, GenClusModel};
 use genclus_hin::{GraphDelta, HinGraph};
@@ -68,7 +68,7 @@ pub(crate) struct RefitInput {
 
 /// What a finished re-fit hands back to the serving thread.
 pub(crate) struct RefitOutput {
-    /// The replacement engine, fully built (snapshot decoded, candidate
+    /// The replacement engine, fully built (snapshot encoded, candidate
     /// indexes rebuilt, query pool spawned) on the re-fit thread — the
     /// serving thread's swap is a plain move, not O(snapshot) work.
     pub engine: QueryEngine,
@@ -115,24 +115,21 @@ pub(crate) fn run_refit(input: RefitInput) -> Result<RefitOutput, ServeError> {
         .fit_warm(&graph, &warm)
         .map_err(refit)?;
 
-    // Compaction trigger: fold the overflow back into a canonical CSR
-    // before the snapshot is cut (the codec would canonicalize on the fly
-    // anyway; compacting here also hands the swapped-in engine a
-    // branch-free base CSR).
-    graph.compact();
-    let bytes = to_bytes(&graph, &fit.model);
+    // Compaction trigger: `from_parts` folds the overflow back into a
+    // canonical CSR before the snapshot is cut (the codec would
+    // canonicalize on the fly anyway; compacting also hands the
+    // swapped-in engine a branch-free base CSR). It encodes once and keeps
+    // the graph and model in hand — no second checksum pass, no decode.
+    // The candidate-index rebuild and (threads > 1) the query-pool spawn
+    // also run here, off the serving thread: paying them at swap time
+    // would reintroduce a serving stall proportional to the model size.
+    let snap = Snapshot::from_parts(graph, fit.model)?;
     let persisted = if let Some(path) = &persist_path {
-        save_bytes(path, &bytes)?;
+        save_bytes(path, snap.raw_bytes())?;
         true
     } else {
         false
     };
-    // Revive and index the snapshot here, off the serving thread: the
-    // checksum pass, the graph/model decode, the candidate-index rebuild,
-    // and (threads > 1) the query-pool spawn are all O(snapshot) — paying
-    // them at swap time would reintroduce a serving stall proportional to
-    // the model size.
-    let snap = Snapshot::from_bytes(&bytes)?;
     let outcome = RefreshOutcome {
         objects_added,
         links_added,

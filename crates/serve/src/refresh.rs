@@ -898,14 +898,8 @@ impl RefreshableEngine {
     fn build_refit_input(&self) -> RefitInput {
         let snapshot = self.engine.snapshot();
         let model = snapshot.model();
-        // Θ over the grown network: served rows for old objects, the
-        // staged fold-in rows for new ones — the warm seed.
-        let mut rows: Vec<Vec<f64>> = (0..model.theta.n_objects())
-            .map(|i| model.theta.row(i).to_vec())
-            .collect();
-        rows.extend(self.pending.rows.iter().cloned());
         let warm = GenClusModel {
-            theta: MembershipMatrix::from_rows(&rows, model.n_clusters()),
+            theta: warm_seed_theta(&model.theta, &self.pending.rows),
             gamma: model.gamma.clone(),
             components: model.components.clone(),
             attributes: model.attributes.clone(),
@@ -1581,6 +1575,22 @@ impl RefreshableEngine {
     }
 }
 
+/// The warm seed's `Θ` over the grown network: the served rows for old
+/// objects, then the staged fold-in rows for new ones, each floored and
+/// normalized as [`MembershipMatrix::from_rows`] would — built in one flat
+/// buffer instead of a `Vec` per row. Staged rows have `K` entries (checked
+/// when they are staged).
+fn warm_seed_theta(served: &MembershipMatrix, staged: &[Vec<f64>]) -> MembershipMatrix {
+    let k = served.n_clusters();
+    let mut flat = Vec::with_capacity(served.as_slice().len() + staged.len() * k);
+    flat.extend_from_slice(served.as_slice());
+    for row in staged {
+        debug_assert_eq!(row.len(), k, "staged Θ rows have K entries");
+        flat.extend_from_slice(row);
+    }
+    MembershipMatrix::from_flat(flat, k)
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -1618,6 +1628,33 @@ mod tests {
         let cfg = GenClusConfig::new(2, vec![reading]).with_seed(7);
         let fit = GenClus::new(cfg).unwrap().fit(&graph).unwrap();
         Snapshot::from_bytes(&to_bytes(&graph, &fit.model)).unwrap()
+    }
+
+    #[test]
+    fn warm_seed_is_bit_identical_to_the_per_row_construction() {
+        let served = snapshot().model().theta.clone();
+        let k = served.n_clusters();
+        let staged = vec![
+            vec![0.7, 0.3],
+            vec![2.0, -1.0],
+            vec![0.0, 0.0],
+            vec![1e-20, 1.0],
+        ];
+        // The construction the flat buffer replaced: one `Vec` per row.
+        let mut rows: Vec<Vec<f64>> = (0..served.n_objects())
+            .map(|i| served.row(i).to_vec())
+            .collect();
+        rows.extend(staged.iter().cloned());
+        let old = MembershipMatrix::from_rows(&rows, k);
+        let new = warm_seed_theta(&served, &staged);
+        assert_eq!(new.n_objects(), served.n_objects() + staged.len());
+        let bits =
+            |m: &MembershipMatrix| m.as_slice().iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        assert_eq!(bits(&new), bits(&old));
+        assert_eq!(
+            bits(&warm_seed_theta(&served, &[])),
+            bits(&MembershipMatrix::from_rows(&rows[..6], k))
+        );
     }
 
     fn ok(response: &str) -> Json {

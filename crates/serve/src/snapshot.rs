@@ -36,6 +36,24 @@
 //!   header dispatches the graph decode to [`HinGraph::from_bytes_v1`].
 //! * **2** — names travel as the interned arena (one `u32` offset table +
 //!   one byte blob); writers always emit this layout.
+//!
+//! Each byte is touched as few times as the format allows:
+//!
+//! * **Load** reads the file once, straight into [`AlignedBytes`] sized
+//!   from the file's metadata — no intermediate `Vec<u8>`, no second copy.
+//! * **Verify ∥ decode.** The FNV-1a checksum is a serial byte chain, as
+//!   long as the rest of the decode put together at 100k objects, so
+//!   [`Snapshot::load`] and [`Snapshot::from_bytes`] hash the payload on a
+//!   scoped helper thread while the calling thread decodes the network and
+//!   model. Nothing unverified escapes: both halves finish before anything
+//!   is returned, and a checksum mismatch outranks any decode error, so
+//!   every input fails exactly as it would with the two run in sequence.
+//!   If the helper cannot be spawned the checksum is verified inline.
+//! * **Encode** writes one buffer: a zeroed header placeholder, the
+//!   payload in place after it, then the header with the payload checksum
+//!   patched over the placeholder. A refresh builds its served snapshot
+//!   from the graph and model it already holds (`Snapshot::from_parts`):
+//!   one encode, no second checksum pass, no decode.
 
 use crate::error::ServeError;
 use genclus_core::GenClusModel;
@@ -54,9 +72,17 @@ pub const HEADER_LEN: usize = 64;
 /// A byte buffer whose storage is 8-aligned, so `f64` payload sections can
 /// be viewed in place.
 pub struct AlignedBytes {
-    /// Backing storage; `u64` elements guarantee 8-byte alignment.
-    words: Vec<u64>,
+    storage: Storage,
     len: usize,
+}
+
+/// Where the bytes of an [`AlignedBytes`] live.
+enum Storage {
+    /// `u64` elements guarantee 8-byte alignment.
+    Words(Vec<u64>),
+    /// An encoder's buffer, adopted as is because its allocation was found
+    /// to start 8-aligned ([`AlignedBytes::from_vec`] checks).
+    Bytes(Vec<u8>),
 }
 
 impl AlignedBytes {
@@ -67,10 +93,24 @@ impl AlignedBytes {
         a
     }
 
+    /// Takes ownership of `bytes` when its allocation already starts
+    /// 8-aligned — what every mainstream allocator hands out — and copies
+    /// it into aligned storage only otherwise.
+    fn from_vec(bytes: Vec<u8>) -> Self {
+        if (bytes.as_ptr() as usize).is_multiple_of(8) {
+            Self {
+                len: bytes.len(),
+                storage: Storage::Bytes(bytes),
+            }
+        } else {
+            Self::copy_from(&bytes)
+        }
+    }
+
     /// Zero-filled aligned buffer of `len` bytes.
     pub fn zeroed(len: usize) -> Self {
         Self {
-            words: vec![0u64; len.div_ceil(8)],
+            storage: Storage::Words(vec![0u64; len.div_ceil(8)]),
             len,
         }
     }
@@ -78,16 +118,27 @@ impl AlignedBytes {
     /// The bytes.
     #[inline]
     pub fn as_slice(&self) -> &[u8] {
-        // SAFETY: `words` owns at least `len` initialized bytes and u8 has
-        // no alignment requirement.
-        unsafe { std::slice::from_raw_parts(self.words.as_ptr().cast::<u8>(), self.len) }
+        match &self.storage {
+            // SAFETY: `words` owns at least `len` initialized bytes and u8
+            // has no alignment requirement.
+            Storage::Words(words) => unsafe {
+                std::slice::from_raw_parts(words.as_ptr().cast::<u8>(), self.len)
+            },
+            Storage::Bytes(bytes) => bytes,
+        }
     }
 
     /// Mutable access (used only while filling the buffer).
     #[inline]
     fn as_mut_slice(&mut self) -> &mut [u8] {
-        // SAFETY: as above; exclusive borrow of self guarantees no aliasing.
-        unsafe { std::slice::from_raw_parts_mut(self.words.as_mut_ptr().cast::<u8>(), self.len) }
+        match &mut self.storage {
+            // SAFETY: as above; exclusive borrow of self guarantees no
+            // aliasing.
+            Storage::Words(words) => unsafe {
+                std::slice::from_raw_parts_mut(words.as_mut_ptr().cast::<u8>(), self.len)
+            },
+            Storage::Bytes(bytes) => bytes,
+        }
     }
 
     /// Buffer length in bytes.
@@ -101,31 +152,63 @@ impl AlignedBytes {
     pub fn is_empty(&self) -> bool {
         self.len == 0
     }
+
+    /// Reads the whole file at `path` with one allocation, sized from the
+    /// file's metadata, and one copy out of the page cache. A file that
+    /// turns out shorter or longer than its metadata said (a pipe, a file
+    /// changing underneath) is still read whole.
+    fn read_file(path: &Path) -> std::io::Result<Self> {
+        let mut f = std::fs::File::open(path)?;
+        let hint = usize::try_from(f.metadata()?.len()).unwrap_or(0);
+        let mut buf = Self::zeroed(hint);
+        let mut filled = 0;
+        while filled < hint {
+            match f.read(&mut buf.as_mut_slice()[filled..]) {
+                Ok(0) => break,
+                Ok(n) => filled += n,
+                Err(e) if e.kind() == std::io::ErrorKind::Interrupted => {}
+                Err(e) => return Err(e),
+            }
+        }
+        // At end of file this is one small probe read, no allocation.
+        let mut rest = Vec::new();
+        f.read_to_end(&mut rest)?;
+        if filled == hint && rest.is_empty() {
+            return Ok(buf);
+        }
+        let mut all = buf.as_slice()[..filled].to_vec();
+        all.extend_from_slice(&rest);
+        Ok(Self::from_vec(all))
+    }
 }
 
 /// Serializes a fitted model plus its network into snapshot bytes.
 pub fn to_bytes(graph: &HinGraph, model: &GenClusModel) -> Vec<u8> {
-    let mut payload = Vec::new();
-    graph.to_bytes(&mut payload);
-    pad8(&mut payload);
-    let model_start = payload.len();
-    let theta_rel = model.to_bytes(&mut payload);
-    let theta_offset = HEADER_LEN + model_start + theta_rel;
-    debug_assert_eq!(theta_offset % 8, 0, "Θ payload must be 8-aligned");
+    encode(graph, model).0
+}
 
-    let mut out = Vec::with_capacity(HEADER_LEN + payload.len());
-    out.extend_from_slice(&MAGIC);
-    out.extend_from_slice(&SCHEMA_VERSION.to_le_bytes());
-    out.extend_from_slice(&0u32.to_le_bytes());
-    out.extend_from_slice(&(payload.len() as u64).to_le_bytes());
-    out.extend_from_slice(&fnv1a64(&payload).to_le_bytes());
-    out.extend_from_slice(&(theta_offset as u64).to_le_bytes());
-    out.extend_from_slice(&(model.theta.n_objects() as u64).to_le_bytes());
-    out.extend_from_slice(&(model.theta.n_clusters() as u64).to_le_bytes());
-    out.extend_from_slice(&0u64.to_le_bytes());
-    debug_assert_eq!(out.len(), HEADER_LEN);
-    out.extend_from_slice(&payload);
-    out
+/// [`to_bytes`] plus the header it wrote. One buffer: a zeroed header
+/// placeholder, the payload written in place after it, then the header —
+/// payload checksum included — patched over the placeholder.
+fn encode(graph: &HinGraph, model: &GenClusModel) -> (Vec<u8>, Header) {
+    let mut out = vec![0u8; HEADER_LEN];
+    graph.to_bytes(&mut out);
+    // `HEADER_LEN` is a multiple of 8, so padding relative to the buffer
+    // pads the payload exactly as padding relative to the payload would.
+    pad8(&mut out);
+    let model_start = out.len();
+    let theta_offset = model_start + model.to_bytes(&mut out);
+    debug_assert_eq!(theta_offset % 8, 0, "Θ payload must be 8-aligned");
+    let header = Header {
+        version: SCHEMA_VERSION,
+        payload_len: out.len() - HEADER_LEN,
+        checksum: fnv1a64(&out[HEADER_LEN..]),
+        theta_offset,
+        theta_rows: model.theta.n_objects(),
+        theta_cols: model.theta.n_clusters(),
+    };
+    out[..HEADER_LEN].copy_from_slice(&header.to_bytes());
+    (out, header)
 }
 
 /// Writes a snapshot file (atomically: a temp file in the same directory is
@@ -137,7 +220,7 @@ pub fn save(path: &Path, graph: &HinGraph, model: &GenClusModel) -> Result<(), S
 
 /// Atomically and **durably** writes pre-serialized snapshot bytes (the
 /// temp-file + rename dance of [`save`]) — used by the refresh path, which
-/// already has the bytes in hand from re-loading the swapped-in snapshot.
+/// persists the raw bytes of the snapshot it is about to swap in.
 ///
 /// Durability discipline: the temp file is `sync_all`ed *before* the
 /// rename and the parent directory is fsynced *after* it. Rename-without-
@@ -311,6 +394,24 @@ impl Header {
         Ok(header)
     }
 
+    /// The header bytes [`Self::parse`] reads back (reserved fields zero).
+    fn to_bytes(self) -> [u8; HEADER_LEN] {
+        let mut h = [0u8; HEADER_LEN];
+        h[..8].copy_from_slice(&MAGIC);
+        h[8..12].copy_from_slice(&self.version.to_le_bytes());
+        let fields = [
+            (16, self.payload_len as u64),
+            (24, self.checksum),
+            (32, self.theta_offset as u64),
+            (40, self.theta_rows as u64),
+            (48, self.theta_cols as u64),
+        ];
+        for (at, v) in fields {
+            h[at..at + 8].copy_from_slice(&v.to_le_bytes());
+        }
+        h
+    }
+
     /// Verifies the payload checksum of `bytes` (the full file buffer).
     pub fn verify_checksum(&self, bytes: &[u8]) -> Result<(), ServeError> {
         let got = fnv1a64(&bytes[HEADER_LEN..]);
@@ -324,6 +425,57 @@ impl Header {
     }
 }
 
+/// Decodes the network and model out of a whole snapshot buffer whose
+/// header was parsed (the checksum is verified separately).
+fn decode_payload(header: &Header, bytes: &[u8]) -> Result<(HinGraph, GenClusModel), ServeError> {
+    let mut r = ByteReader::new(&bytes[HEADER_LEN..]);
+    // Version dispatch: the header selects the graph decoder. The model
+    // section is layout-stable across both versions.
+    let graph = match header.version {
+        1 => HinGraph::from_bytes_v1(&mut r),
+        _ => HinGraph::from_bytes(&mut r),
+    }
+    .ok_or(ServeError::Malformed("network"))?;
+    r.align8().ok_or(ServeError::Malformed("padding"))?;
+    let model = GenClusModel::from_bytes(&mut r).ok_or(ServeError::Malformed("model"))?;
+    cross_check(header, &graph, &model)?;
+    Ok((graph, model))
+}
+
+/// Cross-checks between header, graph, and model. The kind/shape check per
+/// (attribute, component) pair matters because the EM and fold-in kernels
+/// match on the pair and treat a mismatch as unreachable.
+fn cross_check(header: &Header, graph: &HinGraph, model: &GenClusModel) -> Result<(), ServeError> {
+    let kinds_match = model.attributes.len() == model.components.len()
+        && model
+            .attributes
+            .iter()
+            .zip(&model.components)
+            .all(|(&a, comp)| {
+                a.index() < graph.schema().n_attributes()
+                    && match (&graph.schema().attribute(a).kind, comp) {
+                        (
+                            genclus_hin::AttributeKind::Categorical { vocab_size },
+                            genclus_core::ClusterComponents::Categorical(c),
+                        ) => c.vocab_size() == *vocab_size,
+                        (
+                            genclus_hin::AttributeKind::Numerical,
+                            genclus_core::ClusterComponents::Gaussian(_),
+                        ) => true,
+                        _ => false,
+                    }
+            });
+    if model.theta.n_objects() != graph.n_objects()
+        || model.theta.n_objects() != header.theta_rows
+        || model.theta.n_clusters() != header.theta_cols
+        || model.gamma.len() != graph.schema().n_relations()
+        || !kinds_match
+    {
+        return Err(ServeError::Malformed("model/network cross-check"));
+    }
+    Ok(())
+}
+
 /// A fully loaded snapshot: the raw aligned buffer plus the decoded
 /// network and model.
 pub struct Snapshot {
@@ -334,65 +486,59 @@ pub struct Snapshot {
 }
 
 impl Snapshot {
-    /// Parses, checksums, and decodes a snapshot from raw bytes.
+    /// Parses, checksums, and decodes a snapshot from raw bytes (copied
+    /// once into aligned storage).
     pub fn from_bytes(bytes: &[u8]) -> Result<Self, ServeError> {
         let header = Header::parse(bytes)?;
-        header.verify_checksum(bytes)?;
-        let mut r = ByteReader::new(&bytes[HEADER_LEN..]);
-        // Version dispatch: the header selects the graph decoder. The model
-        // section is layout-stable across both versions.
-        let graph = match header.version {
-            1 => HinGraph::from_bytes_v1(&mut r),
-            _ => HinGraph::from_bytes(&mut r),
-        }
-        .ok_or(ServeError::Malformed("network"))?;
-        r.align8().ok_or(ServeError::Malformed("padding"))?;
-        let model = GenClusModel::from_bytes(&mut r).ok_or(ServeError::Malformed("model"))?;
-        // Cross-checks between header, graph, and model. The kind/shape
-        // check per (attribute, component) pair matters because the EM and
-        // fold-in kernels match on the pair and treat a mismatch as
-        // unreachable.
-        let kinds_match = model.attributes.len() == model.components.len()
-            && model
-                .attributes
-                .iter()
-                .zip(&model.components)
-                .all(|(&a, comp)| {
-                    a.index() < graph.schema().n_attributes()
-                        && match (&graph.schema().attribute(a).kind, comp) {
-                            (
-                                genclus_hin::AttributeKind::Categorical { vocab_size },
-                                genclus_core::ClusterComponents::Categorical(c),
-                            ) => c.vocab_size() == *vocab_size,
-                            (
-                                genclus_hin::AttributeKind::Numerical,
-                                genclus_core::ClusterComponents::Gaussian(_),
-                            ) => true,
-                            _ => false,
-                        }
-                });
-        if model.theta.n_objects() != graph.n_objects()
-            || model.theta.n_objects() != header.theta_rows
-            || model.theta.n_clusters() != header.theta_cols
-            || model.gamma.len() != graph.schema().n_relations()
-            || !kinds_match
-        {
-            return Err(ServeError::Malformed("model/network cross-check"));
-        }
+        Self::decode(AlignedBytes::copy_from(bytes), header)
+    }
+
+    /// Reads and decodes a snapshot file: one read into aligned storage,
+    /// then checksum ∥ decode.
+    pub fn load(path: &Path) -> Result<Self, ServeError> {
+        let bytes = AlignedBytes::read_file(path)?;
+        let header = Header::parse(bytes.as_slice())?;
+        Self::decode(bytes, header)
+    }
+
+    /// The snapshot of a network and model already in hand: compacts the
+    /// graph, encodes once, and keeps the encoded bytes as the raw buffer.
+    /// Equal in every observable to `from_bytes(&to_bytes(graph, model))`
+    /// without the second checksum pass or the decode.
+    pub(crate) fn from_parts(mut graph: HinGraph, model: GenClusModel) -> Result<Self, ServeError> {
+        graph.compact();
+        let (bytes, header) = encode(&graph, &model);
+        cross_check(&header, &graph, &model)?;
         Ok(Self {
-            bytes: AlignedBytes::copy_from(bytes),
+            bytes: AlignedBytes::from_vec(bytes),
             header,
             graph,
             model,
         })
     }
 
-    /// Reads and decodes a snapshot file.
-    pub fn load(path: &Path) -> Result<Self, ServeError> {
-        let mut f = std::fs::File::open(path)?;
-        let mut bytes = Vec::new();
-        f.read_to_end(&mut bytes)?;
-        Self::from_bytes(&bytes)
+    /// Decodes the network and model out of `bytes` while a scoped helper
+    /// thread verifies the payload checksum. Both finish before anything
+    /// is returned, and a checksum mismatch outranks a decode error.
+    fn decode(bytes: AlignedBytes, header: Header) -> Result<Self, ServeError> {
+        let buf = bytes.as_slice();
+        let (graph, model) = std::thread::scope(|s| {
+            let helper =
+                std::thread::Builder::new().spawn_scoped(s, || header.verify_checksum(buf));
+            let decoded = decode_payload(&header, buf);
+            let verified = match helper {
+                // A helper that panicked proved nothing: verify again here.
+                Ok(h) => h.join().unwrap_or_else(|_| header.verify_checksum(buf)),
+                Err(_) => header.verify_checksum(buf),
+            };
+            verified.and(decoded)
+        })?;
+        Ok(Self {
+            bytes,
+            header,
+            graph,
+            model,
+        })
     }
 
     /// The parsed header.
@@ -436,9 +582,9 @@ impl Snapshot {
         let n = self.header.theta_rows * self.header.theta_cols;
         let raw =
             &self.bytes.as_slice()[self.header.theta_offset..self.header.theta_offset + n * 8];
-        // SAFETY: the slice starts 8-aligned (aligned buffer + offset
-        // validated to be a multiple of 8) and covers exactly n f64s; any
-        // bit pattern is a valid f64.
+        // SAFETY: the slice starts 8-aligned (both `AlignedBytes` storages
+        // start 8-aligned + offset validated to be a multiple of 8) and
+        // covers exactly n f64s; any bit pattern is a valid f64.
         let (prefix, mid, suffix) = unsafe { raw.align_to::<f64>() };
         debug_assert!(prefix.is_empty() && suffix.is_empty());
         mid
@@ -690,5 +836,326 @@ mod tests {
         let a = AlignedBytes::copy_from(&[1, 2, 3]);
         assert_eq!(a.as_slice(), &[1, 2, 3]);
         assert!(!a.is_empty());
+    }
+
+    #[test]
+    fn from_vec_adopts_an_aligned_buffer_and_copies_an_unaligned_one() {
+        let v: Vec<u8> = (0..=255).collect();
+        let ptr = v.as_ptr();
+        let a = AlignedBytes::from_vec(v.clone());
+        assert_eq!(a.as_slice(), &v[..]);
+        assert_eq!(a.as_slice().as_ptr() as usize % 8, 0);
+        let adopted = AlignedBytes::from_vec(v);
+        if (ptr as usize).is_multiple_of(8) {
+            assert_eq!(
+                adopted.as_slice().as_ptr(),
+                ptr,
+                "aligned buffers are not copied"
+            );
+        }
+        // An empty Vec's dangling pointer is only 1-aligned: copied.
+        let empty = AlignedBytes::from_vec(Vec::new());
+        assert!(empty.is_empty());
+        assert_eq!(empty.as_slice().as_ptr() as usize % 8, 0);
+    }
+
+    /// `tiny()` grown by a delta that exercises every adjacency path: a
+    /// new object linking an old one, an old object linking a new one (an
+    /// old-source link, held in overflow until compaction, and an in-link
+    /// of the new object), and two new objects linking each other.
+    fn grown() -> (HinGraph, GenClusModel) {
+        let (mut graph, tiny_model) = tiny();
+        let t = graph.schema().object_type_by_name("sensor").unwrap();
+        let nn = graph.schema().relation_by_name("nn").unwrap();
+        let reading = graph.schema().attribute_by_name("reading").unwrap();
+        let mut d = genclus_hin::GraphDelta::new(&graph);
+        let s3 = d.add_object(t, "s3");
+        let s4 = d.add_object(t, "s4");
+        let s0 = graph.object_by_name("s0").unwrap();
+        let s2 = graph.object_by_name("s2").unwrap();
+        d.add_link(s3, s2, nn, 0.5).unwrap();
+        d.add_link(s0, s3, nn, 1.5).unwrap();
+        d.add_link(s2, s4, nn, 3.0).unwrap();
+        d.add_link(s3, s4, nn, 2.5).unwrap();
+        d.add_link(s4, s3, nn, 0.25).unwrap();
+        d.add_numeric(s4, reading, 0.75).unwrap();
+        graph.append(d).unwrap();
+        assert!(
+            graph.has_overflow(),
+            "old-source links must land in overflow"
+        );
+        let model = GenClusModel {
+            theta: MembershipMatrix::from_rows(
+                &[
+                    vec![0.9, 0.1],
+                    vec![0.5, 0.5],
+                    vec![0.2, 0.8],
+                    vec![0.3, 0.7],
+                    vec![0.6, 0.4],
+                ],
+                2,
+            ),
+            ..tiny_model
+        };
+        (graph, model)
+    }
+
+    #[test]
+    fn from_parts_matches_a_decoded_round_trip() {
+        let (graph, model) = grown();
+        let mut compacted = graph.clone();
+        compacted.compact();
+        let decoded = Snapshot::from_bytes(&to_bytes(&compacted, &model)).unwrap();
+        let built = Snapshot::from_parts(graph, model).unwrap();
+        assert!(!built.graph().has_overflow());
+        // Raw bytes, header and checksum.
+        assert_eq!(built.raw_bytes(), decoded.raw_bytes());
+        assert_eq!(built.header(), decoded.header());
+        built.header().verify_checksum(built.raw_bytes()).unwrap();
+        // Θ view, bit for bit, and its 8-alignment.
+        assert_eq!(built.theta_view().as_ptr() as usize % 8, 0);
+        let bits = |s: &Snapshot| {
+            s.theta_view()
+                .iter()
+                .map(|x| x.to_bits())
+                .collect::<Vec<_>>()
+        };
+        assert_eq!(bits(&built), bits(&decoded));
+        // Re-encoding either gives the same bytes.
+        assert_eq!(to_bytes(built.graph(), built.model()), decoded.raw_bytes());
+        assert_eq!(
+            to_bytes(decoded.graph(), decoded.model()),
+            decoded.raw_bytes()
+        );
+        // Name lookups and adjacency.
+        let (g, h) = (built.graph(), decoded.graph());
+        assert_eq!(g.n_objects(), 5);
+        for v in h.objects() {
+            let name = h.object_name(v);
+            assert_eq!(g.object_by_name(name), Some(v), "{name}");
+            assert!(g.out_links(v).eq(h.out_links(v)), "out-links of {name}");
+            assert_eq!(g.in_links(v), h.in_links(v), "in-links of {name}");
+        }
+        // Model parameters.
+        let (m, n) = (built.model(), decoded.model());
+        assert_eq!(m.components, n.components);
+        assert_eq!(m.gamma, n.gamma);
+        assert_eq!(m.attributes, n.attributes);
+        assert_eq!(m.theta, n.theta);
+        assert_eq!(m.theta_smoothing.to_bits(), n.theta_smoothing.to_bits());
+    }
+
+    #[test]
+    fn from_parts_rejects_a_model_that_does_not_fit_the_network() {
+        let (graph, model) = grown();
+        let (_, short) = tiny(); // 3 Θ rows for a 5-object network
+        assert!(Snapshot::from_parts(graph.clone(), model).is_ok());
+        assert!(matches!(
+            Snapshot::from_parts(graph, short),
+            Err(ServeError::Malformed(_))
+        ));
+    }
+
+    /// `bytes` with its header checksum recomputed over the payload.
+    fn rechecksummed(mut bytes: Vec<u8>) -> Vec<u8> {
+        let sum = fnv1a64(&bytes[HEADER_LEN..]);
+        bytes[24..32].copy_from_slice(&sum.to_le_bytes());
+        bytes
+    }
+
+    /// Offset of the only occurrence of `needle` in `hay`.
+    fn unique_offset(hay: &[u8], needle: &[u8]) -> usize {
+        let hits: Vec<usize> = hay
+            .windows(needle.len())
+            .enumerate()
+            .filter(|(_, w)| *w == needle)
+            .map(|(i, _)| i)
+            .collect();
+        assert_eq!(hits.len(), 1, "needle must occur exactly once");
+        hits[0]
+    }
+
+    #[test]
+    fn checksum_mismatch_outranks_decode_errors() {
+        let (graph, model) = tiny();
+        let bytes = to_bytes(&graph, &model);
+        let dir = std::env::temp_dir().join(format!(
+            "genclus-serve-corrupt-precedence-{}",
+            std::process::id()
+        ));
+        std::fs::create_dir_all(&dir).unwrap();
+        let path = dir.join("model.gcsnap");
+
+        // A length prefix: the payload opens with the object-type count.
+        let mut count = bytes.clone();
+        count[HEADER_LEN + 7] = 0x7f;
+        // A link endpoint: the out-link endpoints `[1, 2]`, right after
+        // their `u64` count of 2, point at 3 objects; 127 is out of range.
+        let needle = [2, 0, 0, 0, 0, 0, 0, 0, 1, 0, 0, 0, 2, 0, 0, 0];
+        let mut endpoint = bytes.clone();
+        endpoint[unique_offset(&bytes, &needle) + 8] = 0x7f;
+
+        for (what, bad) in [("length prefix", count), ("link endpoint", endpoint)] {
+            // With its checksum patched, the flip is a decode error…
+            assert!(
+                matches!(
+                    Snapshot::from_bytes(&rechecksummed(bad.clone())),
+                    Err(ServeError::Malformed("network"))
+                ),
+                "{what}: patched flip must fail the decode"
+            );
+            // …but as found on disk the checksum names it, through both
+            // entry points.
+            assert!(
+                matches!(
+                    Snapshot::from_bytes(&bad),
+                    Err(ServeError::ChecksumMismatch { .. })
+                ),
+                "{what}: from_bytes"
+            );
+            std::fs::write(&path, &bad).unwrap();
+            assert!(
+                matches!(
+                    Snapshot::load(&path),
+                    Err(ServeError::ChecksumMismatch { .. })
+                ),
+                "{what}: load"
+            );
+        }
+
+        // Truncated and extended files keep failing on the length check.
+        std::fs::write(&path, &bytes[..bytes.len() - 8]).unwrap();
+        assert!(matches!(Snapshot::load(&path), Err(ServeError::Truncated)));
+        let mut longer = bytes.clone();
+        longer.extend_from_slice(&[0; 8]);
+        std::fs::write(&path, &longer).unwrap();
+        assert!(matches!(Snapshot::load(&path), Err(ServeError::Truncated)));
+        std::fs::write(&path, &bytes).unwrap();
+        assert_eq!(Snapshot::load(&path).unwrap().raw_bytes(), &bytes[..]);
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn every_single_byte_payload_flip_is_a_checksum_mismatch() {
+        // FNV-1a maps every single-byte change to a different hash, so the
+        // checksum catches each of these; the decode runs on the corrupt
+        // bytes concurrently and must neither panic nor win the race.
+        let (graph, model) = grown();
+        let bytes = to_bytes(&graph, &model);
+        for at in HEADER_LEN..bytes.len() {
+            for mask in [0x01u8, 0x80, 0xff] {
+                let mut bad = bytes.clone();
+                bad[at] ^= mask;
+                assert!(
+                    matches!(
+                        Snapshot::from_bytes(&bad),
+                        Err(ServeError::ChecksumMismatch { .. })
+                    ),
+                    "flip {mask:#04x} at {at}"
+                );
+            }
+        }
+    }
+
+    /// Two object types, two relations, and both attribute kinds, so every
+    /// section of the graph codec carries data.
+    fn mixed() -> (HinGraph, GenClusModel) {
+        use genclus_core::attr_model::CategoricalComponents;
+        let mut s = Schema::new();
+        let a = s.add_object_type("author");
+        let p = s.add_object_type("paper");
+        let w = s.add_relation("write", a, p);
+        let wb = s.add_relation("written_by", p, a);
+        let text = s.add_categorical_attribute("text", 4);
+        let year = s.add_numerical_attribute("year");
+        let mut b = HinBuilder::new(s);
+        let a0 = b.add_object(a, "alice");
+        let a1 = b.add_object(a, "bob");
+        let p0 = b.add_object(p, "p0");
+        let p1 = b.add_object(p, "p1");
+        b.add_link_pair(a0, p0, w, wb, 1.0).unwrap();
+        b.add_link_pair(a1, p1, w, wb, 0.5).unwrap();
+        b.add_terms(p0, text, &[0, 2, 2]).unwrap();
+        b.add_terms(p1, text, &[1, 3]).unwrap();
+        b.add_numeric(p0, year, 2012.0).unwrap();
+        b.add_numeric(p1, year, 2013.0).unwrap();
+        let graph = b.build().unwrap();
+        let model = GenClusModel {
+            theta: MembershipMatrix::from_rows(
+                &[
+                    vec![0.9, 0.1],
+                    vec![0.2, 0.8],
+                    vec![0.7, 0.3],
+                    vec![0.4, 0.6],
+                ],
+                2,
+            ),
+            gamma: vec![1.0, 0.5],
+            components: vec![
+                ClusterComponents::Categorical(CategoricalComponents::from_rows(
+                    &[vec![0.4, 0.1, 0.4, 0.1], vec![0.1, 0.4, 0.1, 0.4]],
+                    1e-9,
+                )),
+                ClusterComponents::Gaussian(GaussianComponents::from_params(
+                    vec![2012.0, 2013.0],
+                    vec![0.5, 0.5],
+                    1e-6,
+                )),
+            ],
+            attributes: vec![text, year],
+            theta_smoothing: 0.05,
+        };
+        (graph, model)
+    }
+
+    #[test]
+    fn decode_of_corrupt_payloads_never_panics() {
+        // The decode now runs before the checksum verdict is in, so it sees
+        // corrupt bytes routinely. Re-checksummed corruptions reach it
+        // whole: one to four random byte writes, 3000 times, must each
+        // come back as a value or an error.
+        let (graph, model) = mixed();
+        let bytes = to_bytes(&graph, &model);
+        let mut state: u64 = 0x9e37_79b9_7f4a_7c15;
+        let mut next = move || {
+            state ^= state << 13;
+            state ^= state >> 7;
+            state ^= state << 17;
+            state
+        };
+        for _ in 0..3000 {
+            let mut bad = bytes.clone();
+            for _ in 0..1 + next() % 4 {
+                let at = HEADER_LEN + (next() as usize) % (bad.len() - HEADER_LEN);
+                bad[at] = next() as u8;
+            }
+            let _ = Snapshot::from_bytes(&rechecksummed(bad));
+        }
+    }
+
+    #[cfg(unix)]
+    #[test]
+    fn load_reads_a_pipe_whose_metadata_has_no_length() {
+        // A FIFO reports length 0: the sized read takes nothing and the
+        // tail read brings in the whole snapshot.
+        let (graph, model) = tiny();
+        let bytes = to_bytes(&graph, &model);
+        let dir = std::env::temp_dir().join(format!("genclus-serve-fifo-{}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        let path = dir.join("model.fifo");
+        let made = std::process::Command::new("mkfifo").arg(&path).status();
+        if !made.is_ok_and(|s| s.success()) {
+            std::fs::remove_dir_all(&dir).ok();
+            return; // no mkfifo on this system
+        }
+        let writer = {
+            let (path, bytes) = (path.clone(), bytes.clone());
+            std::thread::spawn(move || std::fs::write(path, bytes).unwrap())
+        };
+        let snap = Snapshot::load(&path).unwrap();
+        writer.join().unwrap();
+        assert_eq!(snap.raw_bytes(), &bytes[..]);
+        assert_eq!(snap.theta_view(), model.theta.as_slice());
+        std::fs::remove_dir_all(&dir).ok();
     }
 }

@@ -46,22 +46,22 @@ pub fn put_str(out: &mut Vec<u8>, s: &str) {
     pad8(out);
 }
 
-/// Appends a length-prefixed packed `u16` array, padded to 8 bytes.
-pub fn put_u16_slice(out: &mut Vec<u8>, xs: &[u16]) {
-    put_u64(out, xs.len() as u64);
-    for &x in xs {
-        out.extend_from_slice(&x.to_le_bytes());
-    }
-    pad8(out);
+/// Appends a length-prefixed packed `u16` array, padded to 8 bytes. Takes
+/// an exact-size iterator, so a field projected out of a struct array is
+/// written without collecting it first (likewise the other `_iter`
+/// writers).
+pub fn put_u16_iter(out: &mut Vec<u8>, xs: impl ExactSizeIterator<Item = u16>) {
+    put_packed(out, xs, u16::to_le_bytes);
 }
 
 /// Appends a length-prefixed packed `u32` array, padded to 8 bytes.
 pub fn put_u32_slice(out: &mut Vec<u8>, xs: &[u32]) {
-    put_u64(out, xs.len() as u64);
-    for &x in xs {
-        out.extend_from_slice(&x.to_le_bytes());
-    }
-    pad8(out);
+    put_u32_iter(out, xs.iter().copied());
+}
+
+/// [`put_u32_slice`] over the items of an exact-size iterator.
+pub fn put_u32_iter(out: &mut Vec<u8>, xs: impl ExactSizeIterator<Item = u32>) {
+    put_packed(out, xs, u32::to_le_bytes);
 }
 
 /// Appends a length-prefixed raw byte blob, padded to 8 bytes. The reader
@@ -74,18 +74,35 @@ pub fn put_bytes(out: &mut Vec<u8>, bytes: &[u8]) {
 }
 
 /// Appends a length-prefixed `u64` array.
-pub fn put_u64_slice(out: &mut Vec<u8>, xs: &[u64]) {
-    put_u64(out, xs.len() as u64);
-    for &x in xs {
-        put_u64(out, x);
-    }
+pub fn put_u64_iter(out: &mut Vec<u8>, xs: impl ExactSizeIterator<Item = u64>) {
+    put_packed(out, xs, u64::to_le_bytes);
 }
 
 /// Appends a length-prefixed `f64` array (bit patterns, LE).
 pub fn put_f64_slice(out: &mut Vec<u8>, xs: &[f64]) {
+    put_f64_iter(out, xs.iter().copied());
+}
+
+/// [`put_f64_slice`] over the items of an exact-size iterator.
+pub fn put_f64_iter(out: &mut Vec<u8>, xs: impl ExactSizeIterator<Item = f64>) {
+    put_packed(out, xs, |x| x.to_bits().to_le_bytes());
+}
+
+/// The shared array writer: a `u64` count, each item's `W` little-endian
+/// bytes, then — for items narrower than 8 bytes — zero padding of the
+/// buffer to the next multiple of 8. The region is sized once and filled
+/// in place: one store per item, no per-item capacity check.
+fn put_packed<T, const W: usize>(
+    out: &mut Vec<u8>,
+    xs: impl ExactSizeIterator<Item = T>,
+    le_bytes: impl Fn(T) -> [u8; W],
+) {
     put_u64(out, xs.len() as u64);
-    for &x in xs {
-        put_f64(out, x);
+    let start = out.len();
+    let end = start + xs.len() * W;
+    out.resize(if W < 8 { end.next_multiple_of(8) } else { end }, 0);
+    for (dst, x) in out[start..end].chunks_exact_mut(W).zip(xs) {
+        dst.copy_from_slice(&le_bytes(x));
     }
 }
 
@@ -165,7 +182,7 @@ impl<'a> ByteReader<'a> {
         Some(s)
     }
 
-    /// Reads a packed `u16` array (as written by [`put_u16_slice`]).
+    /// Reads a packed `u16` array (as written by [`put_u16_iter`]).
     pub fn u16_slice(&mut self) -> Option<Vec<u16>> {
         let n = self.count(2)?;
         let raw = self.bytes(n * 2)?;
@@ -189,7 +206,7 @@ impl<'a> ByteReader<'a> {
         Some(out)
     }
 
-    /// Reads a `u64` array (as written by [`put_u64_slice`]).
+    /// Reads a `u64` array (as written by [`put_u64_iter`]).
     ///
     /// Bounds-checks the whole array up front and allocates the output
     /// exactly once — the element count must never influence the number of
@@ -263,7 +280,7 @@ mod tests {
         let mut out = Vec::new();
         put_str(&mut out, "abc"); // 3 bytes + 5 pad
         assert_eq!(out.len() % 8, 0);
-        put_u16_slice(&mut out, &[1, 2, 3]);
+        put_u16_iter(&mut out, [1, 2, 3].into_iter());
         assert_eq!(out.len() % 8, 0);
         put_u32_slice(&mut out, &[7; 5]);
         assert_eq!(out.len() % 8, 0);
@@ -276,7 +293,7 @@ mod tests {
     #[test]
     fn slices_round_trip() {
         let mut out = Vec::new();
-        put_u64_slice(&mut out, &[u64::MAX, 0]);
+        put_u64_iter(&mut out, [u64::MAX, 0].into_iter());
         put_f64_slice(&mut out, &[0.1, -0.0, f64::INFINITY]);
         let mut r = ByteReader::new(&out);
         assert_eq!(r.u64_slice(), Some(vec![u64::MAX, 0]));
@@ -288,6 +305,45 @@ mod tests {
             "bit-exact, not value-exact"
         );
         assert_eq!(f[2], f64::INFINITY);
+    }
+
+    #[test]
+    fn packed_writers_match_the_element_by_element_layout() {
+        // The reference layout: count, each element's LE bytes, then, for
+        // `u16`/`u32`, zero padding to the next multiple of 8 of the whole
+        // buffer — also when the buffer did not start aligned.
+        fn reference(out: &mut Vec<u8>, n: usize, elems: &[u8], narrow: bool) {
+            put_u64(out, n as u64);
+            out.extend_from_slice(elems);
+            if narrow {
+                pad8(out);
+            }
+        }
+        for prefix in [0usize, 3, 8] {
+            let (mut got, mut want) = (vec![0xaa; prefix], vec![0xaa; prefix]);
+            let u16s = [1u16, 0xbeef, 7];
+            put_u16_iter(&mut got, u16s.into_iter());
+            let le: Vec<u8> = u16s.iter().flat_map(|x| x.to_le_bytes()).collect();
+            reference(&mut want, 3, &le, true);
+            let u32s = [0xdead_beefu32, 2, 3, 4, 5];
+            put_u32_iter(&mut got, u32s.iter().copied());
+            let le: Vec<u8> = u32s.iter().flat_map(|x| x.to_le_bytes()).collect();
+            reference(&mut want, 5, &le, true);
+            let u64s = [u64::MAX, 9];
+            put_u64_iter(&mut got, u64s.iter().copied());
+            let le: Vec<u8> = u64s.iter().flat_map(|x| x.to_le_bytes()).collect();
+            reference(&mut want, 2, &le, false);
+            let f64s = [-0.0f64, 1.5, f64::NAN];
+            put_f64_slice(&mut got, &f64s);
+            let le: Vec<u8> = f64s
+                .iter()
+                .flat_map(|x| x.to_bits().to_le_bytes())
+                .collect();
+            reference(&mut want, 3, &le, false);
+            put_u32_slice(&mut got, &[]);
+            reference(&mut want, 0, &[], true);
+            assert_eq!(got, want, "prefix {prefix}");
+        }
     }
 
     #[test]

@@ -135,6 +135,29 @@ impl MembershipMatrix {
         m
     }
 
+    /// Builds a matrix from flat row-major `data`, normalizing each row
+    /// exactly as [`Self::from_rows`] does — bit for bit the same matrix,
+    /// without a `Vec` per row.
+    ///
+    /// # Panics
+    /// Panics if `k` is zero or `data.len()` is not a multiple of `k`.
+    pub fn from_flat(mut data: Vec<f64>, k: usize) -> Self {
+        assert!(k > 0, "cluster count must be positive");
+        assert!(
+            data.len().is_multiple_of(k),
+            "{} entries do not fill rows of k = {k}",
+            data.len()
+        );
+        for row in data.chunks_exact_mut(k) {
+            normalize_floored(row);
+        }
+        Self {
+            n: data.len() / k,
+            data,
+            k,
+        }
+    }
+
     /// Number of objects (rows).
     #[inline]
     pub fn n_objects(&self) -> usize {
@@ -365,6 +388,27 @@ mod tests {
         corrupt[0] = 0xff; // absurd row count
         let mut r = crate::bytesio::ByteReader::new(&corrupt);
         assert!(MembershipMatrix::from_bytes(&mut r).is_none());
+    }
+
+    #[test]
+    fn from_flat_is_bit_identical_to_from_rows() {
+        // Unnormalized, negative, all-zero and sub-floor rows all take the
+        // same per-row normalization either way.
+        let rows = vec![
+            vec![0.2, 0.3, 0.5],
+            vec![3.0, -1.0, 1e-12],
+            vec![0.0, 0.0, 0.0],
+            vec![1.0 / 3.0, 1.0 / 3.0, 1.0 / 3.0],
+            vec![1e300, 2e300, 1.0],
+        ];
+        let flat: Vec<f64> = rows.concat();
+        let a = MembershipMatrix::from_rows(&rows, 3);
+        let b = MembershipMatrix::from_flat(flat, 3);
+        assert_eq!((b.n_objects(), b.n_clusters()), (5, 3));
+        let bits =
+            |m: &MembershipMatrix| m.as_slice().iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        assert_eq!(bits(&a), bits(&b));
+        assert_eq!(MembershipMatrix::from_flat(Vec::new(), 4).n_objects(), 0);
     }
 
     #[test]
