@@ -1,34 +1,32 @@
-//! The off-thread half of a double-buffered refresh.
+//! The off-thread half of a refresh.
 //!
-//! [`crate::refresh::RefreshableEngine`] originally ran its warm re-fit
-//! inline on the serving thread, so every policy-triggered refresh froze
-//! query traffic for the full EM wall time. This module moves the heavy
-//! part — append the staged delta, run [`GenClus::fit_warm`], compact,
-//! encode the refreshed snapshot once from the graph and model in hand,
-//! optionally persist those bytes, then index it into a ready
-//! [`QueryEngine`] — onto a dedicated one-worker [`WorkerPool`] via
-//! [`WorkerPool::submit`], and hands the finished engine back through a
-//! [`JobHandle`] the serving thread polls between requests. Reads keep
-//! answering from the old engine the whole time; the swap itself is a
-//! plain move on the serving thread (everything O(snapshot) — encode,
-//! checksum, candidate indexes, pool spawn — was paid on the worker).
+//! Every re-fit of a [`crate::refresh::RefreshableEngine`] runs here: the
+//! heavy part — append the staged delta, run [`GenClus::fit_warm`],
+//! compact, encode the refreshed snapshot once from the graph and model in
+//! hand, optionally persist those bytes, then index it into a ready
+//! [`QueryEngine`] — goes to a dedicated one-worker [`WorkerPool`] via
+//! [`WorkerPool::submit`], and the finished engine comes back through a
+//! [`JobHandle`]. In background mode the serving thread polls the handle
+//! between requests and reads keep answering from the old engine the whole
+//! time; in inline mode the caller joins it at once. Either way the swap
+//! itself is a plain move on the serving thread (everything O(snapshot) —
+//! encode, checksum, candidate indexes, pool spawn — was paid on the
+//! worker).
 //!
 //! The split of responsibilities:
 //!
 //! * [`RefitInput`] owns everything the job needs (a compacted copy of the
 //!   served graph, the staged [`GraphDelta`], the warm-seed model, the
 //!   resolved config) so the job borrows nothing from the engine;
-//! * [`run_refit`] is the *pure* re-fit: both the inline path and the
-//!   background worker call it, which is what keeps the two modes
-//!   byte-identical in what they produce and how they fail;
+//! * [`run_refit`] is the *pure* re-fit the worker runs;
 //! * [`RefitWorker`] wraps the pool + at-most-one in-flight handle, maps a
 //!   panicked job into a [`ServeError::Refresh`] (the worker thread
-//!   survives), and exposes poll/join so the engine decides *when* the
-//!   swap happens.
+//!   survives, in both modes), and exposes poll/join so the engine decides
+//!   *when* the swap happens.
 //!
-//! Failure contract (same as the inline path): a job that errors returns
-//! the [`ServeError`]; the engine keeps serving the old snapshot and
-//! restores the staged window, so nothing committed is lost.
+//! Failure contract: a job that errors returns the [`ServeError`]; the
+//! engine keeps serving the old snapshot and restores the staged window,
+//! so nothing committed is lost.
 
 use crate::engine::QueryEngine;
 use crate::error::ServeError;
@@ -81,8 +79,7 @@ pub(crate) struct RefitOutput {
 /// Appends `delta`, warm re-fits, compacts, serializes, (optionally)
 /// persists, and builds the replacement [`QueryEngine`] — the entire
 /// refresh except the swap itself. Pure with respect to the serving
-/// engine: both the inline refresh and the background worker run exactly
-/// this.
+/// engine.
 pub(crate) fn run_refit(input: RefitInput) -> Result<RefitOutput, ServeError> {
     let RefitInput {
         mut graph,
@@ -151,29 +148,21 @@ pub(crate) fn run_refit(input: RefitInput) -> Result<RefitOutput, ServeError> {
 /// Owning its pool (rather than sharing the query engine's) is load-
 /// bearing: a re-fit takes the full warm-EM wall time, and parking it on a
 /// query worker would stall every batch dispatched to that worker — the
-/// exact latency bug this module removes.
+/// exact latency bug this module removes. The pool's thread is spawned by
+/// the first re-fit.
+#[derive(Default)]
 pub struct RefitWorker {
-    pool: WorkerPool,
+    pool: Option<WorkerPool>,
     handle: Option<JobHandle<Result<RefitOutput, ServeError>>>,
     /// Test seam: runs at the start of the job, on the worker thread.
     /// Lets deterministic tests hold a re-fit "in flight" on a gate.
     hook: Option<Arc<dyn Fn() + Send + Sync>>,
 }
 
-impl Default for RefitWorker {
-    fn default() -> Self {
-        Self::new()
-    }
-}
-
 impl RefitWorker {
-    /// Spawns the worker thread (idle until [`Self::start`]).
+    /// A worker with no thread yet; [`Self::start`] spawns it.
     pub fn new() -> Self {
-        Self {
-            pool: WorkerPool::new(1),
-            handle: None,
-            hook: None,
-        }
+        Self::default()
     }
 
     /// Whether a re-fit is currently queued or running.
@@ -190,7 +179,8 @@ impl RefitWorker {
             "a background re-fit is already in flight"
         );
         let hook = self.hook.clone();
-        self.handle = Some(self.pool.submit(move || {
+        let pool = self.pool.get_or_insert_with(|| WorkerPool::new(1));
+        self.handle = Some(pool.submit(move || {
             if let Some(hook) = &hook {
                 hook();
             }
@@ -207,9 +197,7 @@ impl RefitWorker {
                 .map(|s| s.to_string())
                 .or_else(|| payload.downcast_ref::<String>().cloned())
                 .unwrap_or_else(|| "re-fit worker panicked".to_string());
-            Err(ServeError::Refresh(format!(
-                "background re-fit panicked: {msg}"
-            )))
+            Err(ServeError::Refresh(format!("re-fit panicked: {msg}")))
         })
     }
 

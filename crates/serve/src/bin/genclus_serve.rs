@@ -52,17 +52,18 @@
 //! connections, quiesce (in-flight re-fit, `--refresh-save`, WAL
 //! truncation, final metrics dump), and exit 0.
 //!
-//! `--refresh-background` moves triggered re-fits off the serving loop
-//! onto a dedicated worker thread (double-buffered engines): queries keep
-//! answering from the old snapshot for the entire re-fit, the finished
-//! snapshot swaps in between requests, and commits arriving mid-re-fit
-//! stage into the next refresh window. `{"op":"refresh_status"}` reports
-//! in-flight state and the last outcome; with `"wait":true` it blocks
-//! until the in-flight re-fit lands — the quiesce point for scripts. At
-//! EOF the binary waits for any in-flight re-fit (so `--refresh-save`
-//! always persists the last refresh) before exiting. Without the flag
-//! re-fits run inline, stalling the loop for the warm-EM wall time — the
-//! single-threaded fallback.
+//! Re-fits always run on a dedicated worker thread (double-buffered
+//! engines). `--refresh-background` lets the serving loop go on while one
+//! runs: queries keep answering from the old snapshot for the entire
+//! re-fit, the finished snapshot swaps in between requests, and commits
+//! arriving mid-re-fit stage into the next refresh window.
+//! `{"op":"refresh_status"}` reports in-flight state and the last outcome;
+//! with `"wait":true` it blocks until the in-flight re-fit lands — the
+//! quiesce point for scripts. At EOF the binary waits for any in-flight
+//! re-fit (so `--refresh-save` always persists the last refresh) before
+//! exiting. Without the flag the loop waits for each re-fit to land, so
+//! `refresh` and a triggering commit answer with the outcome, stalling
+//! the loop for the warm-EM wall time.
 //!
 //! `--wal <path>` opens a commit write-ahead log ([`genclus_serve::wal`]):
 //! every accepted commit is appended and **fsynced before its ack is
@@ -111,7 +112,8 @@
 
 use genclus_obs::log;
 use genclus_serve::lines::DEFAULT_MAX_REQUEST_BYTES;
-use genclus_serve::net::{invalid_utf8_response, over_limit_response, NetConfig, NetServer};
+use genclus_serve::net::{NetConfig, NetServer};
+use genclus_serve::request::{invalid_utf8_response, over_limit_response};
 use genclus_serve::snapshot;
 use genclus_serve::{
     CappedLineReader, LineEvent, RefreshPolicy, RefreshableEngine, ServeMetrics, Snapshot,

@@ -1,8 +1,9 @@
 //! The batched query engine behind the `genclus_serve` binary.
 //!
 //! Requests are JSON-lines objects; each gets exactly one JSON-lines
-//! response carrying the echoed `id` (when present) and `"ok"`. Supported
-//! operations:
+//! response carrying the echoed `id` (when present) and `"ok"`
+//! ([`crate::request`] decodes the line and renders the envelope).
+//! Supported operations:
 //!
 //! * `{"op":"membership","object":<name>}` — the stored `Θ` row and hard
 //!   label of an existing object;
@@ -38,9 +39,10 @@
 //! come back as structured errors — serving input is untrusted.
 
 use crate::error::ServeError;
-use crate::foldin::{FoldInEngine, FoldInRequest};
+use crate::foldin::{FoldInEngine, FoldInRequest, FoldInResult};
 use crate::json::Json;
-use crate::metrics::{op_label, ServeMetrics};
+use crate::metrics::ServeMetrics;
+use crate::request::{Body, Commit, FoldIn, Op, Ranking, Request};
 use crate::snapshot::Snapshot;
 use genclus_core::pool::WorkerPool;
 use genclus_core::prediction::{search, CandidateIndex};
@@ -48,6 +50,7 @@ use genclus_core::Similarity;
 use genclus_hin::{HinGraph, ObjectId, ObjectTypeId};
 use genclus_stats::simplex::argmax;
 use std::sync::{Arc, Mutex};
+use std::time::Instant;
 
 /// A loaded snapshot plus everything needed to answer queries.
 ///
@@ -149,21 +152,29 @@ impl QueryEngine {
         self.core.handle_line(line)
     }
 
-    /// Handles a batch of request lines concurrently across the worker
-    /// pool; responses come back in request order.
+    /// Handles a batch of request lines: each is parsed once, then the
+    /// batch is answered concurrently across the worker pool; responses
+    /// come back in request order.
     pub fn handle_batch(&self, lines: &[String]) -> Vec<String> {
-        let n = lines.len();
+        let parsed: Vec<_> = lines.iter().map(|line| Json::parse(line)).collect();
+        let reqs: Vec<_> = parsed.iter().map(Request::decode).collect();
+        self.answer_batch(&reqs)
+    }
+
+    /// Answers decoded requests concurrently across the worker pool, one
+    /// contiguous chunk per worker, in request order.
+    pub(crate) fn answer_batch(&self, reqs: &[Request<'_>]) -> Vec<String> {
+        let core = &*self.core;
+        let answer = |req| core.answer(req, core.metrics.timer());
+        let n = reqs.len();
         let workers = self.threads.min(n.max(1));
-        if workers <= 1 || n <= 1 {
-            return lines.iter().map(|l| self.core.handle_line(l)).collect();
-        }
         // `threads > 1` implies a pool was built; if that invariant ever
         // breaks, degrade to sequential handling rather than panic mid-batch.
-        let Some(pool) = self.pool.as_ref() else {
-            return lines.iter().map(|l| self.core.handle_line(l)).collect();
+        let pool = match &self.pool {
+            Some(pool) if workers > 1 && n > 1 => pool,
+            _ => return reqs.iter().map(answer).collect(),
         };
         let chunk = n.div_ceil(workers);
-        let core = &self.core;
         let slots: Vec<Mutex<Vec<String>>> = (0..workers).map(|_| Mutex::new(Vec::new())).collect();
         pool.broadcast(workers, &|i| {
             // Both bounds clamp to n: with chunk = ceil(n / workers), the
@@ -172,7 +183,7 @@ impl QueryEngine {
             // out empty, not out of bounds.
             let lo = (i * chunk).min(n);
             let hi = ((i + 1) * chunk).min(n);
-            let out: Vec<String> = lines[lo..hi].iter().map(|l| core.handle_line(l)).collect();
+            let out: Vec<String> = reqs[lo..hi].iter().map(answer).collect();
             // Poison recovery: each slot is written exactly once by one
             // worker; a poisoned lock still holds a valid (empty or full)
             // response vector.
@@ -185,6 +196,10 @@ impl QueryEngine {
     }
 }
 
+/// A validated ranking request: `k`, the similarity, and the candidate
+/// type (`None` for every type).
+pub(crate) type Ranked = (usize, Similarity, Option<ObjectTypeId>);
+
 impl QueryCore {
     /// The underlying graph.
     fn graph(&self) -> &HinGraph {
@@ -194,94 +209,59 @@ impl QueryCore {
     /// One request line → one response line.
     pub fn handle_line(&self, line: &str) -> String {
         let started = self.metrics.timer();
-        let (id, op, result) = match Json::parse(line) {
-            Ok(req) => {
-                let id = req.get("id").cloned();
-                let op = op_label(req.get("op").and_then(Json::as_str));
-                (id, op, self.dispatch(&req))
-            }
-            Err(e) => (
-                None,
-                op_label(None),
-                Err(ServeError::BadRequest(format!("invalid JSON: {e}"))),
-            ),
-        };
-        let ok = result.is_ok();
-        let mut fields: Vec<(&str, Json)> = Vec::with_capacity(4);
-        if let Some(id) = id {
-            fields.push(("id", id));
-        }
-        match result {
-            Ok(mut body) => {
-                fields.push(("ok", Json::Bool(true)));
-                fields.append(&mut body);
-            }
-            Err(e) => {
-                fields.push(("ok", Json::Bool(false)));
-                fields.push(("error", Json::str(e.to_string())));
-            }
-        }
-        let rendered = Json::obj(fields).render();
-        // Recorded after rendering so the histogram covers the full
-        // request cost the client observes, serialization included.
-        self.metrics.record_op(op, started, ok);
-        rendered
+        let parsed = Json::parse(line);
+        self.answer(&Request::decode(&parsed), started)
     }
 
-    fn dispatch(&self, req: &Json) -> Result<Vec<(&'static str, Json)>, ServeError> {
-        match req.get("op").and_then(Json::as_str) {
-            Some("membership") => self.op_membership(req),
-            Some("top_k") => self.op_top_k(req),
-            Some("fold_in") => self.op_fold_in(req),
-            Some("stats") => self.op_stats(),
-            Some("metrics") => Ok(self.metrics.to_fields()),
-            Some(other) => Err(ServeError::BadRequest(format!("unknown op {other:?}"))),
-            None => Err(ServeError::BadRequest(
-                "request must carry a string \"op\" field".into(),
-            )),
-        }
+    /// Answers a decoded request.
+    pub(crate) fn answer(&self, req: &Request<'_>, started: Option<Instant>) -> String {
+        req.answer(&self.metrics, started, |op| self.execute(op))
     }
 
-    fn require_object(&self, req: &Json) -> Result<ObjectId, ServeError> {
-        let name = req
-            .get("object")
-            .and_then(Json::as_str)
-            .ok_or_else(|| ServeError::BadRequest("missing string \"object\" field".into()))?;
-        Ok(self.graph().require_object_by_name(name)?)
-    }
-
-    pub(crate) fn similarity(req: &Json) -> Result<Similarity, ServeError> {
-        match req.get("sim").and_then(Json::as_str) {
-            None | Some("cross_entropy") => Ok(Similarity::NegCrossEntropy),
-            Some("cosine") => Ok(Similarity::Cosine),
-            Some("euclidean") => Ok(Similarity::NegEuclidean),
-            Some(other) => Err(ServeError::BadRequest(format!(
-                "unknown similarity {other:?} (expected cosine | euclidean | cross_entropy)"
+    /// Runs a decoded op. `refresh` and `refresh_status` are unknown to
+    /// the read-only core, and a commit is answered as the plain fold-in it
+    /// carries; the refresh layer serves all three.
+    pub(crate) fn execute(&self, op: &Op<'_>) -> Result<Body, ServeError> {
+        match op {
+            Op::Membership { object } => self.op_membership(object),
+            Op::TopK { object, ranking } => self.op_top_k(object, ranking),
+            Op::FoldIn(fold_in) | Op::Commit(Commit { fold_in, .. }) => self.op_fold_in(fold_in),
+            Op::Stats => self.op_stats(),
+            Op::Metrics => Ok(self.metrics.to_fields()),
+            Op::Refresh | Op::RefreshStatus { .. } => Err(ServeError::BadRequest(format!(
+                "unknown op {:?}",
+                op.label()
             ))),
         }
     }
 
-    /// Candidate type: `None` (every type) unless `"type"` is given.
-    pub(crate) fn candidate_type(&self, req: &Json) -> Result<Option<ObjectTypeId>, ServeError> {
-        req.get("type")
-            .and_then(Json::as_str)
-            .map(|name| {
-                self.graph()
-                    .schema()
-                    .object_type_by_name(name)
-                    .ok_or_else(|| ServeError::BadRequest(format!("unknown object type {name:?}")))
-            })
-            .transpose()
+    /// Candidate type: `None` (every type) unless a type name is given.
+    fn candidate_type(&self, name: Option<&str>) -> Result<Option<ObjectTypeId>, ServeError> {
+        name.map(|name| {
+            self.graph()
+                .schema()
+                .object_type_by_name(name)
+                .ok_or_else(|| ServeError::BadRequest(format!("unknown object type {name:?}")))
+        })
+        .transpose()
+    }
+
+    /// The ranking a fold-in or commit asks for. `"k"`, `"sim"` and
+    /// `"type"` are validated in that order whenever present; a ranking
+    /// is returned only when `"k"` is.
+    pub(crate) fn ranking(&self, ranking: &Ranking<'_>) -> Result<Option<Ranked>, ServeError> {
+        let k = ranking.k()?;
+        let sim = ranking.similarity()?;
+        let t = self.candidate_type(ranking.ty)?;
+        Ok(k.map(|k| (k, sim, t)))
     }
 
     /// The `k` candidates of type `t` (every type when `None`) most similar
     /// to `query_row`, `exclude` left out, rendered as `[[name, score], …]`.
-    pub(crate) fn ranked_json(
+    fn ranked_json(
         &self,
         query_row: &[f64],
-        sim: Similarity,
-        k: usize,
-        t: Option<ObjectTypeId>,
+        (k, sim, t): Ranked,
         exclude: Option<ObjectId>,
     ) -> Json {
         let indexes = match t {
@@ -303,8 +283,8 @@ impl QueryCore {
         )
     }
 
-    fn op_membership(&self, req: &Json) -> Result<Vec<(&'static str, Json)>, ServeError> {
-        let v = self.require_object(req)?;
+    fn op_membership(&self, object: &str) -> Result<Body, ServeError> {
+        let v = self.graph().require_object_by_name(object)?;
         let row = self.snapshot.model().membership(v);
         Ok(vec![
             ("object", Json::str(self.graph().object_name(v))),
@@ -313,27 +293,19 @@ impl QueryCore {
         ])
     }
 
-    fn op_top_k(&self, req: &Json) -> Result<Vec<(&'static str, Json)>, ServeError> {
-        let v = self.require_object(req)?;
-        let sim = Self::similarity(req)?;
-        let k = req
-            .get("k")
-            .map(|j| {
-                j.as_usize().ok_or_else(|| {
-                    ServeError::BadRequest("\"k\" must be a non-negative integer".into())
-                })
-            })
-            .transpose()?
-            .unwrap_or(10);
-        let t = self.candidate_type(req)?;
+    fn op_top_k(&self, object: &str, ranking: &Ranking<'_>) -> Result<Body, ServeError> {
+        let v = self.graph().require_object_by_name(object)?;
+        let sim = ranking.similarity()?;
+        let k = ranking.k()?.unwrap_or(10);
+        let t = self.candidate_type(ranking.ty)?;
         let row = self.snapshot.model().membership(v);
         Ok(vec![
             ("object", Json::str(self.graph().object_name(v))),
-            ("results", self.ranked_json(row, sim, k, t, Some(v))),
+            ("results", self.ranked_json(row, (k, sim, t), Some(v))),
         ])
     }
 
-    pub(crate) fn op_stats(&self) -> Result<Vec<(&'static str, Json)>, ServeError> {
+    pub(crate) fn op_stats(&self) -> Result<Body, ServeError> {
         let g = self.graph();
         let model = self.snapshot.model();
         let gamma = Json::Obj(
@@ -402,25 +374,16 @@ impl QueryCore {
         Ok(out)
     }
 
-    /// Decodes the wire fold-in request: link relations/targets by name,
-    /// attributes by name. Targets resolve against the snapshot graph.
-    pub(crate) fn decode_fold_in(&self, req: &Json) -> Result<FoldInRequest, ServeError> {
-        self.decode_fold_in_with(req, &|name| {
-            Ok(self.graph().require_object_by_name(name)?)
-        })
-    }
-
-    /// [`Self::decode_fold_in`] with a caller-supplied link-target
-    /// resolver.
-    pub(crate) fn decode_fold_in_with(
+    /// Decodes a fold-in's evidence: link relations and targets by name
+    /// (targets through `resolve`), attributes by name.
+    pub(crate) fn decode_fold_in(
         &self,
-        req: &Json,
+        fold_in: &FoldIn<'_>,
         resolve: &dyn Fn(&str) -> Result<ObjectId, ServeError>,
     ) -> Result<FoldInRequest, ServeError> {
-        let g = self.graph();
-        let schema = g.schema();
+        let schema = self.graph().schema();
         let mut out = FoldInRequest::default();
-        if let Some(links) = req.get("links") {
+        if let Some(links) = fold_in.links {
             out.links = self.decode_link_triples(links, "links", resolve)?;
         }
         let attr_by_name = |name: &str| {
@@ -428,7 +391,7 @@ impl QueryCore {
                 .attribute_by_name(name)
                 .ok_or_else(|| ServeError::BadRequest(format!("unknown attribute {name:?}")))
         };
-        if let Some(terms) = req.get("terms") {
+        if let Some(terms) = fold_in.terms {
             let fields = terms
                 .as_obj()
                 .ok_or_else(|| ServeError::BadRequest("\"terms\" must be an object".into()))?;
@@ -453,7 +416,7 @@ impl QueryCore {
                 out.terms.push((a, decoded));
             }
         }
-        if let Some(values) = req.get("values") {
+        if let Some(values) = fold_in.values {
             let fields = values
                 .as_obj()
                 .ok_or_else(|| ServeError::BadRequest("\"values\" must be an object".into()))?;
@@ -474,26 +437,37 @@ impl QueryCore {
         Ok(out)
     }
 
-    fn op_fold_in(&self, req: &Json) -> Result<Vec<(&'static str, Json)>, ServeError> {
-        let fold_req = self.decode_fold_in(req)?;
-        let engine = FoldInEngine::new(self.snapshot.model(), self.graph());
-        let result = engine.assign(&fold_req)?;
+    /// The body of a fold-in or commit response: the inferred row, its
+    /// hard label and convergence, the committed name, and the row's
+    /// ranking when one was asked for.
+    pub(crate) fn fold_in_body(
+        &self,
+        folded: &FoldInResult,
+        committed: Option<&str>,
+        ranked: Option<Ranked>,
+    ) -> Body {
         let mut fields = vec![
-            ("theta", Json::nums(&result.theta)),
-            ("cluster", Json::Num(argmax(&result.theta) as f64)),
-            ("iterations", Json::Num(result.iterations as f64)),
-            ("converged", Json::Bool(result.converged)),
+            ("theta", Json::nums(&folded.theta)),
+            ("cluster", Json::Num(argmax(&folded.theta) as f64)),
+            ("iterations", Json::Num(folded.iterations as f64)),
+            ("converged", Json::Bool(folded.converged)),
         ];
-        // Optional: rank the freshly folded row against the network.
-        if let Some(kj) = req.get("k") {
-            let k = kj.as_usize().ok_or_else(|| {
-                ServeError::BadRequest("\"k\" must be a non-negative integer".into())
-            })?;
-            let sim = Self::similarity(req)?;
-            let t = self.candidate_type(req)?;
-            fields.push(("results", self.ranked_json(&result.theta, sim, k, t, None)));
+        if let Some(name) = committed {
+            fields.push(("committed", Json::str(name)));
         }
-        Ok(fields)
+        if let Some(ranked) = ranked {
+            fields.push(("results", self.ranked_json(&folded.theta, ranked, None)));
+        }
+        fields
+    }
+
+    fn op_fold_in(&self, fold_in: &FoldIn<'_>) -> Result<Body, ServeError> {
+        let req = self.decode_fold_in(fold_in, &|name| {
+            Ok(self.graph().require_object_by_name(name)?)
+        })?;
+        let folded = FoldInEngine::new(self.snapshot.model(), self.graph()).assign(&req)?;
+        let ranked = self.ranking(&fold_in.ranking)?;
+        Ok(self.fold_in_body(&folded, None, ranked))
     }
 }
 
@@ -623,6 +597,11 @@ mod tests {
             (
                 r#"{"op": "fold_in", "terms": {"reading": [[0, 1]]}}"#,
                 "cannot store",
+            ),
+            // Ranking fields are validated whenever present, `"k"` or not.
+            (
+                r#"{"op": "fold_in", "links": [["nn","s0",1.0]], "sim": "hamming"}"#,
+                "unknown similarity",
             ),
         ] {
             let resp = engine.handle_line(line);

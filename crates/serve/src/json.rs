@@ -7,8 +7,8 @@
 //! object keys are a **parse error** — RFC 8259 leaves their semantics
 //! undefined, and in a serving protocol that ambiguity is exploitable:
 //! with first-occurrence-wins, `{"commit":…,"commit":…}` could be
-//! validated against one value while a byte-level fast path (like the
-//! mutation sniffer in `refresh.rs`) detects the other. The writer emits
+//! validated against one value while a byte-level fast path detects the
+//! other. The writer emits
 //! compact JSON with round-trippable `f64` formatting.
 
 /// A parsed JSON value.
@@ -111,7 +111,8 @@ impl Json {
         out
     }
 
-    fn render_into(&self, out: &mut String) {
+    /// Appends the compact rendering to `out`.
+    pub(crate) fn render_into(&self, out: &mut String) {
         match self {
             Json::Null => out.push_str("null"),
             Json::Bool(true) => out.push_str("true"),
@@ -145,7 +146,7 @@ impl Json {
 }
 
 /// Writes a JSON string literal with escaping.
-fn write_str(out: &mut String, s: &str) {
+pub(crate) fn write_str(out: &mut String, s: &str) {
     out.push('"');
     for c in s.chars() {
         match c {

@@ -38,17 +38,20 @@
 //!   ([`genclus_core::algorithm::GenClus::fit_warm`] — no `InitStrategy`,
 //!   no best-of-seeds warmup), compacts the grown graph back to a
 //!   canonical CSR, atomically swaps the refreshed snapshot in, and
-//!   optionally persists it (same schema v1, new checksum). Policy knobs
+//!   optionally persists it (same schema v2, new checksum). Policy knobs
 //!   live on [`refresh::RefreshPolicy`];
 //! * [`background`] — the double-buffered refresh
-//!   ([`background::RefitWorker`], enabled by
-//!   [`refresh::RefreshPolicy::background`]): the warm re-fit runs on a
-//!   dedicated worker thread while reads keep answering from the old
-//!   engine; the serving thread swaps the finished snapshot in between
-//!   requests, commits arriving mid-re-fit stage into the *next* delta
-//!   window, and a failed re-fit restores the staged window intact. The
+//!   ([`background::RefitWorker`]): every warm re-fit runs on a dedicated
+//!   worker thread. With [`refresh::RefreshPolicy::background`] reads keep
+//!   answering from the old engine meanwhile; the serving thread swaps the
+//!   finished snapshot in between requests, commits arriving mid-re-fit
+//!   stage into the *next* delta window, and a failed re-fit restores the
+//!   staged window intact. Without it, `refresh` waits for the swap. The
 //!   `refresh_status` op (optionally `"wait":true`) reports in-flight
 //!   state and the last outcome;
+//! * [`request`] — the wire request: each line is parsed once into a
+//!   typed [`request::Request`], and every response, on every transport,
+//!   goes through one envelope;
 //! * [`wal`] — the commit write-ahead log
 //!   ([`refresh::RefreshableEngine::with_wal`], `--wal` on the binary):
 //!   every accepted commit is appended + fsynced **before** the ack, a
@@ -126,6 +129,7 @@ pub mod lines;
 pub mod metrics;
 pub mod net;
 pub mod refresh;
+pub mod request;
 pub mod snapshot;
 pub mod wal;
 

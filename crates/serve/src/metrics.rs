@@ -84,15 +84,6 @@ const OPS: [&str; 9] = [
 ];
 // lint: end-region
 
-/// Maps a wire op name onto its histogram label — unknown ops, missing
-/// `op` fields, and invalid JSON all land in `"other"`.
-pub fn op_label(op: Option<&str>) -> &'static str {
-    match op {
-        Some(o) => OPS.iter().find(|&&n| n == o).copied().unwrap_or("other"),
-        None => "other",
-    }
-}
-
 /// One completed refresh attempt, as the `metrics` op reports it.
 #[derive(Debug, Clone, PartialEq)]
 pub struct RefreshSpan {

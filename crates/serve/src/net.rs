@@ -24,12 +24,13 @@
 //!   lock once to re-clone the `Arc`. Readers therefore never contend
 //!   with each other, and a snapshot swap costs each connection one
 //!   mutex hit total, not one per request.
-//! * **Mutations serialize through one lane.** `commit`ed fold-ins,
-//!   `refresh`/`refresh_status`, and `stats` (read-only, but answered by
-//!   the refresh layer so WAL fields stay visible) go through a
-//!   `Mutex<RefreshableEngine>` — the same single-writer discipline the
-//!   stdio loop had implicitly, now explicit. The WAL append+fsync
-//!   happens inside the lane *before* the ack leaves it, so the
+//! * **Mutations serialize through one lane.** Each line is parsed once
+//!   into a [`Request`]; the variants that [`Request::takes_lane`] —
+//!   `commit`ed fold-ins, `refresh`/`refresh_status`, and `stats`
+//!   (read-only, but answered by the refresh layer so WAL fields stay
+//!   visible) — go through a `Mutex<RefreshableEngine>`, the same
+//!   single-writer discipline the stdio loop has implicitly. The WAL
+//!   append+fsync happens inside the lane *before* the ack leaves it, so the
 //!   *ack ⇒ replayable* contract of the durability layer holds verbatim
 //!   under concurrency. After every lane call the (possibly refreshed)
 //!   core is re-published **while the lane is still held**, which makes
@@ -72,6 +73,7 @@ use crate::json::Json;
 use crate::lines::{CappedLineReader, LineEvent};
 use crate::metrics::ServeMetrics;
 use crate::refresh::RefreshableEngine;
+use crate::request::{invalid_utf8_response, over_limit_response, respond, Body, Request};
 use genclus_obs::log;
 use std::io::Write;
 use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
@@ -188,25 +190,32 @@ impl Shared {
         }
     }
 
-    /// Routes one request line: mutations through the lane (publishing
-    /// the possibly-swapped core before the lane is released), reads
-    /// against the connection's pinned core.
+    /// Routes one request line: lane requests through the lane (landing
+    /// a finished re-fit first, and publishing the possibly-swapped core
+    /// before the lane is released), everything else against the
+    /// connection's pinned core.
     fn handle_request(&self, pinned: &mut PinnedCore, line: &str) -> String {
-        if RefreshableEngine::parse_mutation(line).is_some() {
-            match self.lane.lock() {
-                Ok(mut lane) => {
-                    let response = lane.handle_line(line);
-                    self.published.publish(&lane.engine().core_shared());
-                    response
-                }
-                Err(_) => error_response(
-                    &self.metrics,
-                    "mutation lane poisoned by an earlier panic; restart the server",
-                ),
-            }
-        } else {
+        let started = self.metrics.timer();
+        let parsed = Json::parse(line);
+        let req = Request::decode(&parsed);
+        if !req.takes_lane() {
             pinned.refresh(&self.published);
-            pinned.core.handle_line(line)
+            return pinned.core.answer(&req, started);
+        }
+        match self.lane.lock() {
+            Ok(mut lane) => {
+                lane.poll_refresh();
+                let response = lane.answer(&req, self.metrics.timer());
+                self.published.publish(&lane.engine().core_shared());
+                response
+            }
+            Err(_) => respond(
+                &self.metrics,
+                started,
+                None,
+                "other",
+                Err::<Body, _>("mutation lane poisoned by an earlier panic; restart the server"),
+            ),
         }
     }
 }
@@ -426,36 +435,4 @@ fn serve_connection(shared: &Shared, stream: TcpStream) {
             return;
         }
     }
-}
-
-/// A structured error line recorded as a failed `other` request — used
-/// for faults that never reach the engine's own dispatcher.
-fn error_response(metrics: &ServeMetrics, message: &str) -> String {
-    let started = metrics.timer();
-    let rendered = Json::obj(vec![
-        ("ok", Json::Bool(false)),
-        ("error", Json::str(message)),
-    ])
-    .render();
-    metrics.record_op("other", started, false);
-    rendered
-}
-
-/// The structured `BadRequest` for a request line over the byte cap —
-/// shared by the stdio loop (answer and continue) and the TCP path
-/// (answer and close). Counts into `net.over_limit` at the call sites
-/// that own the event, and into the request totals here.
-pub fn over_limit_response(metrics: &ServeMetrics, discarded: usize, max: usize) -> String {
-    error_response(
-        metrics,
-        &format!(
-            "bad request: request line of {discarded} bytes exceeds the \
-             {max}-byte limit (--max-request-bytes)"
-        ),
-    )
-}
-
-/// The structured error for a request line that is not valid UTF-8.
-pub fn invalid_utf8_response(metrics: &ServeMetrics) -> String {
-    error_response(metrics, "bad request: request line is not valid UTF-8")
 }

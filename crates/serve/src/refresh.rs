@@ -22,7 +22,7 @@
 //!   the persistent worker pool — then **atomically swaps** the new
 //!   snapshot into the engine (requests see either the old model or the
 //!   new one, never a half-built state) and optionally persists it
-//!   ([`RefreshPolicy::persist_path`]; same schema v1, new checksum);
+//!   ([`RefreshPolicy::persist_path`]; same schema v2, new checksum);
 //! * a failed refresh leaves the engine serving the previous snapshot and
 //!   the staged delta intact.
 //!
@@ -56,28 +56,31 @@
 //!   background mode it blocks until any in-flight re-fit lands and swaps
 //!   first — the quiesce point scripted clients use;
 //!
-//! # Background mode (double-buffered engines)
+//! # One refresh path, two modes
 //!
-//! With [`RefreshPolicy::background`] set, a triggered refresh does **not**
-//! run on the serving thread. The engine snapshots the staged window plus
-//! a compacted copy of the served graph into a [`RefitInput`], hands it to
-//! the dedicated [`RefitWorker`] thread, and keeps serving reads from the
-//! old engine for the entire warm-EM wall time. The serving thread polls
-//! the worker at the top of every `handle_line`/`handle_batch`; when the
-//! re-fit lands, the refreshed snapshot is swapped in atomically — every
-//! response is produced under exactly one snapshot, old until the swap,
-//! new after.
+//! Every refresh runs the same way. The engine snapshots the staged window
+//! plus a compacted copy of the served graph into a [`RefitInput`], hands
+//! it to the dedicated [`RefitWorker`] thread, and opens the next staging
+//! window; when the re-fit lands, the refreshed snapshot is swapped in
+//! atomically between requests — every response is produced under exactly
+//! one snapshot, old until the swap, new after. A re-fit that panics is
+//! contained on the worker and lands as a failed refresh.
 //!
-//! Commits arriving while a re-fit is in flight neither error nor block:
-//! they stage into the **next** delta window, based on the *future* graph
-//! ([`GraphDelta::new_after`]), so their ids remain valid after the swap —
-//! and they may link to objects of the in-flight window by name, exactly
-//! as they could under inline refresh. A failed background re-fit leaves
-//! the old snapshot serving and re-merges the in-flight window with the
-//! next one ([`GraphDelta::stack`]), so the staged delta survives intact
-//! for a retry — the same contract as the inline path. Inline mode
-//! (`background: false`, the default) keeps the original fully
-//! single-threaded behavior for deployments that want no second thread.
+//! [`RefreshPolicy::background`] only decides whether the serving thread
+//! waits. Inline mode (the default) waits for the swap
+//! ([`RefreshableEngine::finish`] right after the hand-off), so `refresh` and a triggering commit answer
+//! with the outcome. Background mode returns at once and keeps serving
+//! reads from the old engine for the entire warm-EM wall time; the
+//! serving thread polls the worker at the top of every
+//! `handle_line`/`handle_batch` and lands the re-fit when it is done.
+//!
+//! Commits arriving while a background re-fit is in flight neither error
+//! nor block: they stage into the **next** delta window, based on the
+//! *future* graph ([`GraphDelta::new_after`]), so their ids remain valid
+//! after the swap — and they may link to objects of the in-flight window
+//! by name. A failed re-fit leaves the old snapshot serving and re-merges
+//! the in-flight window with the next one ([`GraphDelta::stack`]), so the
+//! staged delta survives intact for a retry.
 //!
 //! Commit link names — `links` targets and `in_links` sources alike —
 //! resolve against the **snapshot ∪ staged** namespace: a commit may
@@ -109,17 +112,17 @@
 //! records) — and is surfaced via `refresh_status` as `"wal_error"`
 //! alongside the `"wal_records"` count.
 
-use crate::background::{run_refit, RefitInput, RefitOutput, RefitWorker};
-use crate::engine::{QueryCore, QueryEngine};
+use crate::background::{RefitInput, RefitOutput, RefitWorker};
+use crate::engine::QueryEngine;
 use crate::error::ServeError;
 use crate::foldin::{FoldInEngine, FoldInRequest, FoldInResult};
 use crate::json::Json;
 use crate::metrics::RefreshSpan;
+use crate::request::{Body, Commit, Op, Request};
 use crate::snapshot::Snapshot;
 use crate::wal::{CommitRecord, Wal, WalRecoveryReport};
 use genclus_core::{GenClusConfig, GenClusModel};
 use genclus_hin::{GraphDelta, ObjectTypeId};
-use genclus_stats::simplex::argmax;
 use genclus_stats::MembershipMatrix;
 use std::path::{Path, PathBuf};
 use std::time::Instant;
@@ -158,10 +161,11 @@ pub struct RefreshPolicy {
     /// rename, like [`crate::snapshot::save`]); `None` keeps refreshes
     /// in-memory only.
     pub persist_path: Option<PathBuf>,
-    /// Run triggered re-fits on the dedicated [`RefitWorker`] thread
-    /// instead of inline on the serving thread (see the module docs'
-    /// *Background mode* section). `false` — the default — keeps the
-    /// engine fully single-threaded.
+    /// Whether `refresh`, or a commit that triggers a refresh, returns
+    /// before the re-fit lands. Every re-fit runs on the [`RefitWorker`]
+    /// thread; `false` — the default — waits for the swap and answers
+    /// with the outcome, `true` keeps serving from the old snapshot until
+    /// it lands (see the module docs' *One refresh path, two modes*).
     pub background: bool,
 }
 
@@ -223,28 +227,15 @@ struct Pending {
 }
 
 impl Pending {
-    fn new(graph: &genclus_hin::HinGraph) -> Self {
+    /// An empty window staging into `delta`.
+    fn new(delta: GraphDelta) -> Self {
         Self {
-            delta: GraphDelta::new(graph),
+            delta,
             rows: Vec::new(),
             types: Vec::new(),
             names: std::collections::HashMap::new(),
             records: Vec::new(),
         }
-    }
-
-    /// The next staging window while `inflight` is being re-fitted
-    /// elsewhere: its delta is based on the *future* graph (`graph` +
-    /// `inflight`'s objects), so everything staged here stays valid
-    /// verbatim once the refreshed snapshot swaps in.
-    fn next_window(graph: &genclus_hin::HinGraph, inflight: &Pending) -> Result<Self, ServeError> {
-        Ok(Self {
-            delta: GraphDelta::new_after(graph, &inflight.delta)?,
-            rows: Vec::new(),
-            types: Vec::new(),
-            names: std::collections::HashMap::new(),
-            records: Vec::new(),
-        })
     }
 }
 
@@ -252,23 +243,23 @@ impl Pending {
 /// itself from its snapshot, warm-started, under a [`RefreshPolicy`].
 ///
 /// Read-only requests delegate to the inner engine (batched across the
-/// worker pool, unchanged); mutating requests (`commit`ed fold-ins and
-/// `refresh`) are applied in stream order, so a batch's responses reflect
-/// a single consistent interleaving.
+/// worker pool); the requests that [take the lane](Request::takes_lane)
+/// (`commit`ed fold-ins, `refresh`, `refresh_status`, `stats`) are applied
+/// in stream order, so a batch's responses reflect a single consistent
+/// interleaving.
 pub struct RefreshableEngine {
     engine: QueryEngine,
     policy: RefreshPolicy,
     /// The staging window commits land in. In background mode, while a
     /// re-fit is in flight this is the *next* window, based on the future
-    /// graph (see [`Pending::next_window`]).
+    /// graph (see [`Self::start_background_refresh`]).
     pending: Pending,
     refreshes: usize,
-    /// `Some` iff the policy asked for background mode.
-    worker: Option<RefitWorker>,
-    /// The window handed to the worker, kept for name resolution (its
-    /// objects stay addressable by commits) and for re-merging on a failed
-    /// re-fit.
-    inflight: Option<Pending>,
+    /// Runs every re-fit, inline or background; its thread starts with the
+    /// first one.
+    worker: RefitWorker,
+    /// The window the worker is re-fitting.
+    inflight: Option<InFlight>,
     /// Outcome of the most recent refresh attempt, inline or background —
     /// what `refresh_status` reports.
     last_refresh: Option<Result<RefreshOutcome, String>>,
@@ -279,33 +270,34 @@ pub struct RefreshableEngine {
     /// docs' *Durability* section); cleared by the next successful
     /// truncation.
     wal_error: Option<String>,
-    /// What fired the refresh about to run, for the metrics span —
-    /// `"objects"`/`"links"` when a policy threshold did, unset (→
-    /// `"manual"`) for explicit `refresh` requests and library calls.
-    next_trigger: Option<&'static str>,
-    /// Metrics span state of the in-flight background re-fit: when the
-    /// window was handed to the worker, and what triggered it.
-    inflight_started: Option<(Instant, &'static str)>,
+}
+
+/// A window handed to the re-fit worker. It is kept for name resolution
+/// (its objects stay addressable by commits), for re-merging on a failed
+/// re-fit, and for the metrics span.
+struct InFlight {
+    window: Pending,
+    /// When the window was handed over.
+    started: Instant,
+    /// What fired the re-fit: `"manual"`, `"objects"` or `"links"`.
+    trigger: &'static str,
 }
 
 impl RefreshableEngine {
     /// Wraps `snapshot` in a refreshable engine with `threads` workers.
     pub fn new(snapshot: Snapshot, threads: usize, policy: RefreshPolicy) -> Self {
         let engine = QueryEngine::new(snapshot, threads);
-        let pending = Pending::new(engine.graph());
-        let worker = policy.background.then(RefitWorker::new);
+        let pending = Pending::new(GraphDelta::new(engine.graph()));
         Self {
             engine,
             policy,
             pending,
             refreshes: 0,
-            worker,
+            worker: RefitWorker::new(),
             inflight: None,
             last_refresh: None,
             wal: None,
             wal_error: None,
-            next_trigger: None,
-            inflight_started: None,
         }
     }
 
@@ -330,33 +322,23 @@ impl RefreshableEngine {
     ) -> Result<(Self, WalRecoveryReport), ServeError> {
         let mut engine = Self::new(snapshot, threads, policy);
         let base_checksum = engine.engine.snapshot().header().checksum;
-        let (wal, replay) = Wal::open_or_create(wal_path, base_checksum, engine.engine.graph())?;
+        let (mut wal, replay) =
+            Wal::open_or_create(wal_path, base_checksum, engine.engine.graph())?;
         let replayed = replay.records.len();
         for (record, payload) in replay.records.into_iter().zip(replay.payloads) {
             engine.replay_record(&record, payload)?;
         }
-        engine.wal = Some(wal);
         // Canonicalize the log when recovery found it out of step with the
         // snapshot: records already absorbed (crash between a persisted
         // refresh and its truncation), or a header bound to an ancestor
         // snapshot. Rewriting now means the next recovery is exact.
         let n = engine.engine.graph().n_objects();
-        // lint: allow(no-panic-in-serve) -- startup recovery, two lines after `engine.wal = Some(wal)`; no request is in flight yet
-        let wal_ref = engine.wal.as_ref().expect("just set");
-        let rewritten = replay.skipped > 0
-            || wal_ref.base_objects() != n
-            || wal_ref.base_checksum() != base_checksum;
+        let rewritten =
+            replay.skipped > 0 || wal.base_objects() != n || wal.base_checksum() != base_checksum;
         if rewritten {
-            let records = std::mem::take(&mut engine.pending.records);
-            let result = engine
-                .wal
-                .as_mut()
-                // lint: allow(no-panic-in-serve) -- same startup-recovery invariant as above: the WAL was assigned in this function
-                .expect("just set")
-                .truncate(base_checksum, n, &records);
-            engine.pending.records = records;
-            result?;
+            wal.truncate(base_checksum, n, &engine.pending.records)?;
         }
+        engine.wal = Some(wal);
         // Surface what recovery found through the metrics registry too —
         // after a crash restart, `{"op":"metrics"}` reports the replay.
         {
@@ -488,19 +470,23 @@ impl RefreshableEngine {
 
     /// Whether a background re-fit is currently running.
     pub fn refresh_in_flight(&self) -> bool {
-        self.worker.as_ref().is_some_and(RefitWorker::in_flight)
+        self.worker.in_flight()
+    }
+
+    /// The window currently being re-fitted, if any.
+    fn inflight_window(&self) -> Option<&Pending> {
+        self.inflight.as_ref().map(|f| &f.window)
     }
 
     /// Objects of the window currently being re-fitted (0 when none).
     pub fn in_flight_objects(&self) -> usize {
-        self.inflight
-            .as_ref()
+        self.inflight_window()
             .map_or(0, |w| w.delta.n_new_objects())
     }
 
     /// Links of the window currently being re-fitted (0 when none).
     pub fn in_flight_links(&self) -> usize {
-        self.inflight.as_ref().map_or(0, |w| w.delta.n_new_links())
+        self.inflight_window().map_or(0, |w| w.delta.n_new_links())
     }
 
     /// The most recent refresh attempt's outcome (inline or background):
@@ -577,24 +563,18 @@ impl RefreshableEngine {
             }
         }
         let mut out = Vec::new();
-        if let Some(w) = &self.inflight {
+        if let Some(w) = self.inflight_window() {
             window(&mut out, w);
         }
         window(&mut out, &self.pending);
         out
     }
 
-    /// Test seam — see [`RefitWorker::set_refit_hook`].
-    ///
-    /// # Panics
-    /// Panics when the engine is not in background mode.
+    /// Test seam — see [`RefitWorker::set_refit_hook`]. Every re-fit runs
+    /// on the worker, so the hook sees inline refreshes too.
     #[doc(hidden)]
     pub fn set_background_refit_hook(&mut self, hook: impl Fn() + Send + Sync + 'static) {
-        self.worker
-            .as_mut()
-            // lint: allow(no-panic-in-serve) -- #[doc(hidden)] test seam; the documented contract is "panics when the engine is not in background mode"
-            .expect("refit hooks require background mode")
-            .set_refit_hook(hook);
+        self.worker.set_refit_hook(hook);
     }
 
     /// Stages one new object (programmatic equivalent of a `commit`ed
@@ -643,8 +623,7 @@ impl RefreshableEngine {
             )));
         }
         if self
-            .inflight
-            .as_ref()
+            .inflight_window()
             .is_some_and(|w| w.names.contains_key(name))
         {
             return Err(ServeError::BadRequest(format!(
@@ -660,15 +639,14 @@ impl RefreshableEngine {
         // (`GraphDelta::add_link` would reject mid-way otherwise). The
         // addressable id space is snapshot ∪ in-flight window ∪ current
         // window, in that id order.
-        let inflight_len = self.inflight.as_ref().map_or(0, |w| w.rows.len());
+        let inflight_types: &[ObjectTypeId] = self.inflight_window().map_or(&[], |w| &w.types);
+        let inflight_len = inflight_types.len();
         let n_known = graph.n_objects() + inflight_len + self.pending.rows.len();
         let type_of = |v: genclus_hin::ObjectId| {
             if v.index() < graph.n_objects() {
                 graph.object_type(v)
             } else if v.index() < graph.n_objects() + inflight_len {
-                // lint: allow(no-panic-in-serve) -- this branch is reachable only when inflight_len > 0, i.e. the window exists
-                self.inflight.as_ref().expect("inflight_len > 0").types
-                    [v.index() - graph.n_objects()]
+                inflight_types[v.index() - graph.n_objects()]
             } else {
                 self.pending.types[v.index() - graph.n_objects() - inflight_len]
             }
@@ -717,16 +695,17 @@ impl RefreshableEngine {
         // in-flight window too: their rows continue the graph's id space
         // first, then the current window's.
         let combined: (Vec<Vec<f64>>, Vec<ObjectTypeId>);
-        let (staged_rows, staged_types): (&[Vec<f64>], &[ObjectTypeId]) = match &self.inflight {
-            Some(w) => {
-                combined = (
-                    [w.rows.as_slice(), self.pending.rows.as_slice()].concat(),
-                    [w.types.as_slice(), self.pending.types.as_slice()].concat(),
-                );
-                (&combined.0, &combined.1)
-            }
-            None => (&self.pending.rows, &self.pending.types),
-        };
+        let (staged_rows, staged_types): (&[Vec<f64>], &[ObjectTypeId]) =
+            match self.inflight_window() {
+                Some(w) => {
+                    combined = (
+                        [w.rows.as_slice(), self.pending.rows.as_slice()].concat(),
+                        [w.types.as_slice(), self.pending.types.as_slice()].concat(),
+                    );
+                    (&combined.0, &combined.1)
+                }
+                None => (&self.pending.rows, &self.pending.types),
+            };
         let folded = FoldInEngine::new(self.engine.snapshot().model(), graph)
             .with_staged(staged_rows, staged_types)
             .assign(req)?;
@@ -837,43 +816,28 @@ impl RefreshableEngine {
         if let Some(v) = graph.object_by_name(name) {
             return Ok(v);
         }
-        let inflight_len = match &self.inflight {
-            Some(w) => {
-                if let Some(&i) = w.names.get(name) {
-                    return Ok(genclus_hin::ObjectId::from_index(
-                        graph.n_objects() + i as usize,
-                    ));
-                }
-                w.rows.len()
+        let mut base = graph.n_objects();
+        for w in self.inflight_window().into_iter().chain([&self.pending]) {
+            if let Some(&i) = w.names.get(name) {
+                return Ok(genclus_hin::ObjectId::from_index(base + i as usize));
             }
-            None => 0,
-        };
-        if let Some(&i) = self.pending.names.get(name) {
-            return Ok(genclus_hin::ObjectId::from_index(
-                graph.n_objects() + inflight_len + i as usize,
-            ));
+            base += w.rows.len();
         }
         Err(genclus_hin::HinError::UnknownName(name.to_string()).into())
     }
 
-    /// Whether the policy's auto-trigger thresholds are met.
-    /// Which policy threshold the current window has crossed, for the
-    /// metrics span's `trigger` field. Only meaningful when
-    /// [`Self::due_for_refresh`] just returned true; the object threshold
-    /// wins when both crossed at once.
-    fn trigger_label(&self) -> &'static str {
+    /// Which policy threshold the current window has crossed, or `None`
+    /// when no auto-refresh is due. The object threshold wins when both
+    /// are crossed; the result names the metrics span's `trigger`.
+    fn due_trigger(&self) -> Option<&'static str> {
         let p = &self.policy;
         if p.max_pending_objects > 0 && self.pending_objects() >= p.max_pending_objects {
-            "objects"
+            Some("objects")
+        } else if p.max_pending_links > 0 && self.pending_links() >= p.max_pending_links {
+            Some("links")
         } else {
-            "links"
+            None
         }
-    }
-
-    pub fn due_for_refresh(&self) -> bool {
-        let p = &self.policy;
-        (p.max_pending_objects > 0 && self.pending_objects() >= p.max_pending_objects)
-            || (p.max_pending_links > 0 && self.pending_links() >= p.max_pending_links)
     }
 
     /// Staleness pre-check: the pending delta must have been staged
@@ -893,8 +857,9 @@ impl RefreshableEngine {
     }
 
     /// Packages the current window + served snapshot into the owned input
-    /// [`run_refit`] consumes — the warm seed (`Θ` extended with the
-    /// staged fold-in rows), the resolved config, and cloned graph/delta.
+    /// [`run_refit`](crate::background::run_refit) consumes — the warm
+    /// seed (`Θ` extended with the staged fold-in rows), the resolved
+    /// config, and cloned graph/delta.
     fn build_refit_input(&self) -> RefitInput {
         let snapshot = self.engine.snapshot();
         let model = snapshot.model();
@@ -927,83 +892,32 @@ impl RefreshableEngine {
         }
     }
 
-    /// Applies the pending delta (possibly empty) and warm-refits,
-    /// **inline** — the caller blocks for the full re-fit. This is the
-    /// only refresh path of an inline-mode engine, and remains available
-    /// in background mode as an explicit blocking fallback (erroring when
-    /// a background re-fit is already in flight, since two re-fits of one
-    /// base snapshot cannot both land).
+    /// Applies the pending delta (possibly empty), warm-refits, and waits
+    /// for the swap: [`Self::start_background_refresh`] followed by the
+    /// landing [`Self::finish`] performs. This is what the `refresh` op and
+    /// a triggering commit run in inline mode. It errors when a background
+    /// re-fit is already in flight, since two re-fits of one base snapshot
+    /// cannot both land.
     ///
     /// On success the refreshed snapshot replaces the engine's atomically
     /// (and is persisted first if the policy asks for it); on error the
     /// engine keeps serving the previous snapshot and the pending delta is
     /// untouched.
     pub fn refresh(&mut self) -> Result<RefreshOutcome, ServeError> {
-        let result = self.refresh_inner();
-        self.last_refresh = Some(match &result {
-            Ok(outcome) => Ok(outcome.clone()),
-            Err(e) => Err(e.to_string()),
-        });
-        result
+        self.refresh_now("manual")
     }
 
-    fn refresh_inner(&mut self) -> Result<RefreshOutcome, ServeError> {
-        let trigger = self.next_trigger.take().unwrap_or("manual");
-        let staged_objects = self.pending_objects() as u64;
-        let staged_links = self.pending_links() as u64;
-        let started = Instant::now();
-        let result = self.refit_and_swap();
-        let metrics = self.engine.metrics().clone();
-        let span = match &result {
-            Ok((outcome, refit_seconds)) => RefreshSpan {
-                mode: "inline",
-                trigger,
-                staged_objects,
-                staged_links,
-                outer_iterations: outcome.outer_iterations as u64,
-                em_iterations: outcome.em_iterations as u64,
-                refit_seconds: *refit_seconds,
-                wall_seconds: started.elapsed().as_secs_f64(),
-                persisted: outcome.persisted,
-                ok: true,
-                error: None,
-            },
-            Err(e) => RefreshSpan {
-                mode: "inline",
-                trigger,
-                staged_objects,
-                staged_links,
-                outer_iterations: 0,
-                em_iterations: 0,
-                refit_seconds: 0.0,
-                wall_seconds: started.elapsed().as_secs_f64(),
-                persisted: false,
-                ok: false,
-                error: Some(e.to_string()),
-            },
-        };
-        metrics.record_refresh_span(span);
-        metrics.set_pending(self.pending_objects() as u64, self.pending_links() as u64);
-        result.map(|(outcome, _)| outcome)
-    }
-
-    /// The inline refresh minus the span bookkeeping: re-fit, swap, rebase
-    /// the log. Returns the outcome plus the re-fit's own wall time.
-    fn refit_and_swap(&mut self) -> Result<(RefreshOutcome, f64), ServeError> {
+    fn refresh_now(&mut self, trigger: &'static str) -> Result<RefreshOutcome, ServeError> {
         if self.refresh_in_flight() {
             return Err(ServeError::Refresh(
                 "a background re-fit is already in flight; wait for it via refresh_status".into(),
             ));
         }
-        self.check_window_freshness()?;
-        let output = run_refit(self.build_refit_input())?;
-        let refit_seconds = output.seconds;
-        // The swap: everything after this point sees the new model.
-        self.engine = output.engine;
-        self.pending = Pending::new(self.engine.graph());
-        self.refreshes += 1;
-        self.truncate_wal_after_refresh(output.outcome.persisted);
-        Ok((output.outcome, refit_seconds))
+        self.start_refit(trigger)?;
+        match self.worker.join() {
+            Some(result) => self.land(result),
+            None => Err(ServeError::Refresh("the re-fit did not start".into())),
+        }
     }
 
     /// Truncates the commit log down to the still-staged window after a
@@ -1029,85 +943,82 @@ impl RefreshableEngine {
         metrics.set_wal_records(self.wal.as_ref().map_or(0, Wal::n_records) as u64);
     }
 
-    /// Hands the current window to the background worker and opens the
-    /// next one; reads keep answering from the old engine until the swap.
+    /// Hands the current window to the re-fit worker and opens the next
+    /// one; reads keep answering from the old engine until the swap.
     /// `Ok(false)` when a re-fit is already in flight (the window simply
-    /// keeps accumulating — the completion path re-checks the policy).
+    /// keeps accumulating — the landing re-checks the policy).
     ///
     /// # Errors
-    /// [`ServeError::Refresh`] when the engine is not in background mode
-    /// or the window fails the staleness check; nothing is staged or lost
-    /// in either case.
+    /// [`ServeError::Refresh`] when the window fails the staleness check;
+    /// nothing is staged or lost.
     pub fn start_background_refresh(&mut self) -> Result<bool, ServeError> {
-        if self.worker.is_none() {
-            return Err(ServeError::Refresh(
-                "engine is not in background mode (RefreshPolicy::background)".into(),
-            ));
-        }
+        self.start_refit("manual")
+    }
+
+    fn start_refit(&mut self, trigger: &'static str) -> Result<bool, ServeError> {
         if self.refresh_in_flight() {
             return Ok(false);
         }
         self.check_window_freshness()?;
         let input = self.build_refit_input();
-        let next = Pending::next_window(self.engine.graph(), &self.pending)?;
+        // The next window is based on the *future* graph (the served one
+        // plus this window's objects), so everything staged there stays
+        // valid verbatim once the refreshed snapshot swaps in.
+        let next = Pending::new(GraphDelta::new_after(
+            self.engine.graph(),
+            &self.pending.delta,
+        )?);
         let window = std::mem::replace(&mut self.pending, next);
-        self.inflight = Some(window);
         // Clock before the handoff: the span's wall time must cover the
         // worker's own refit timer, which starts ticking on submit.
-        let trigger = self.next_trigger.take().unwrap_or("manual");
-        self.inflight_started = Some((Instant::now(), trigger));
-        // lint: allow(no-panic-in-serve) -- guarded by the is_none() early return at function entry; the borrow of self between there and here prevents holding the worker reference
-        self.worker.as_mut().expect("checked above").start(input);
+        self.inflight = Some(InFlight {
+            window,
+            started: Instant::now(),
+            trigger,
+        });
+        self.worker.start(input);
         let metrics = self.engine.metrics();
         metrics.set_refresh_in_flight(true);
         metrics.set_pending(self.pending_objects() as u64, self.pending_links() as u64);
         Ok(true)
     }
 
-    /// Non-blocking completion check; called at the top of every
-    /// `handle_line`/`handle_batch`, so the swap happens between requests,
-    /// never under one.
-    fn poll_background(&mut self) {
-        if let Some(result) = self.worker.as_mut().and_then(RefitWorker::poll) {
-            self.complete_background(result);
-        }
-    }
-
-    /// Public non-blocking completion check: lands a finished background
-    /// re-fit (snapshot swap) if one is ready, otherwise returns
-    /// immediately. The stdio loop gets this for free at the top of every
-    /// `handle_line`/`handle_batch`; the TCP front-end calls it from idle
-    /// connection ticks so a finished re-fit is published promptly even
-    /// when no mutations arrive.
+    /// Non-blocking completion check: lands a finished re-fit (snapshot
+    /// swap) if one is ready, otherwise returns immediately.
+    /// `handle_line`/`handle_batch` call it first, so the swap happens
+    /// between requests, never under one; the TCP front-end also calls it
+    /// from idle connection ticks so a finished re-fit is published
+    /// promptly even when no mutations arrive.
     pub fn poll_refresh(&mut self) {
-        self.poll_background();
-    }
-
-    /// Blocks until any in-flight background re-fit lands (swapping it in,
-    /// or restoring the window on failure). A chained re-fit started by
-    /// the completion path is waited out too. No-op in inline mode.
-    pub fn finish(&mut self) {
-        while let Some(result) = self.worker.as_mut().and_then(RefitWorker::join) {
-            self.complete_background(result);
+        if let Some(result) = self.worker.poll() {
+            let _ = self.land(result);
         }
     }
 
-    /// Lands one finished background re-fit: swap on success (re-checking
-    /// the policy against the next window), merge the windows back
-    /// together on failure.
-    fn complete_background(&mut self, result: Result<RefitOutput, ServeError>) {
-        let window = self
-            .inflight
-            .take()
-            // lint: allow(no-panic-in-serve) -- completion callback invariant: the worker only reports results for the window start_background_refresh put in flight
-            .expect("a completed re-fit implies an in-flight window");
-        let (started_at, trigger) = self
-            .inflight_started
-            .take()
-            .unwrap_or((Instant::now(), "manual"));
-        let staged_objects = window.delta.n_new_objects() as u64;
-        let staged_links = window.delta.n_new_links() as u64;
-        match result {
+    /// Blocks until any in-flight re-fit lands (swapping it in, or
+    /// restoring the window on failure). A chained re-fit started by the
+    /// landing is waited out too.
+    pub fn finish(&mut self) {
+        while let Some(result) = self.worker.join() {
+            let _ = self.land(result);
+        }
+    }
+
+    /// Lands one finished re-fit and records its span: swap on success
+    /// (then start the next window's re-fit if it is already due), merge
+    /// the windows back together on failure. Returns the refresh's result.
+    fn land(
+        &mut self,
+        result: Result<RefitOutput, ServeError>,
+    ) -> Result<RefreshOutcome, ServeError> {
+        let Some(inflight) = self.inflight.take() else {
+            return Err(ServeError::Refresh(
+                "a re-fit landed without a window".into(),
+            ));
+        };
+        let staged_objects = inflight.window.delta.n_new_objects() as u64;
+        let staged_links = inflight.window.delta.n_new_links() as u64;
+        let (result, refit_seconds) = match result {
             Ok(RefitOutput {
                 engine,
                 outcome,
@@ -1124,201 +1035,152 @@ impl RefreshableEngine {
                 // are in the new snapshot); the next window's records are
                 // what the rebased log keeps.
                 self.truncate_wal_after_refresh(outcome.persisted);
-                let metrics = self.engine.metrics().clone();
-                metrics.record_refresh_span(RefreshSpan {
-                    mode: "background",
-                    trigger,
-                    staged_objects,
-                    staged_links,
-                    outer_iterations: outcome.outer_iterations as u64,
-                    em_iterations: outcome.em_iterations as u64,
-                    refit_seconds: seconds,
-                    // Trigger → swap, as the client experiences it: the
-                    // hand-off, the re-fit, and the poll delay.
-                    wall_seconds: started_at.elapsed().as_secs_f64(),
-                    persisted: outcome.persisted,
-                    ok: true,
-                    error: None,
-                });
-                metrics.set_refresh_in_flight(false);
-                metrics.set_pending(self.pending_objects() as u64, self.pending_links() as u64);
-                self.last_refresh = Some(Ok(outcome));
-                // The next window may have crossed the thresholds while
-                // the re-fit ran; chain immediately rather than waiting
-                // for the next commit. A chained-*start* failure must not
-                // overwrite the landed refresh's outcome — the swap DID
-                // succeed, and `refresh_status` must say so; the un-started
-                // window stays pending, so the failure resurfaces on the
-                // next trigger or explicit refresh.
-                if self.due_for_refresh() {
-                    self.next_trigger = Some(self.trigger_label());
-                    let _ = self.start_background_refresh();
-                }
+                (Ok(outcome), seconds)
             }
             Err(e) => {
-                // Old snapshot keeps serving. Re-merge the in-flight
-                // window with the next one so the staged delta survives
-                // intact for a retry (ids line up by construction — the
-                // next window was staged on the future base).
-                let next = std::mem::replace(&mut self.pending, window);
-                let offset = u32::try_from(self.pending.rows.len())
-                    // lint: allow(no-panic-in-serve) -- every staged id passed the u32 staged_slot bound at commit time, so the window length fits
-                    .expect("window sizes passed staged_slot at commit time");
-                self.pending
-                    .delta
-                    .stack(next.delta)
-                    // lint: allow(no-panic-in-serve) -- failure-retry merge of two windows this engine itself staged back-to-back; a mismatch is unrecoverable state desync
-                    .expect("the next window was staged directly on top");
-                self.pending.rows.extend(next.rows);
-                self.pending.types.extend(next.types);
-                for (name, i) in next.names {
-                    self.pending.names.insert(name, offset + i);
-                }
-                // Log segments merge exactly like the windows: the
-                // in-flight window's records come first (lower absolute
-                // ids), matching the order they already hold on disk.
-                self.pending.records.extend(next.records);
-                let metrics = self.engine.metrics().clone();
-                metrics.record_refresh_span(RefreshSpan {
-                    mode: "background",
-                    trigger,
-                    staged_objects,
-                    staged_links,
-                    outer_iterations: 0,
-                    em_iterations: 0,
-                    refit_seconds: 0.0,
-                    wall_seconds: started_at.elapsed().as_secs_f64(),
-                    persisted: false,
-                    ok: false,
-                    error: Some(e.to_string()),
-                });
-                metrics.set_refresh_in_flight(false);
-                metrics.set_pending(self.pending_objects() as u64, self.pending_links() as u64);
-                self.last_refresh = Some(Err(e.to_string()));
+                self.restore(inflight.window);
+                (Err(e), 0.0)
+            }
+        };
+        let outcome = result.as_ref().ok();
+        let metrics = self.engine.metrics().clone();
+        metrics.record_refresh_span(RefreshSpan {
+            mode: self.mode(),
+            trigger: inflight.trigger,
+            staged_objects,
+            staged_links,
+            outer_iterations: outcome.map_or(0, |o| o.outer_iterations as u64),
+            em_iterations: outcome.map_or(0, |o| o.em_iterations as u64),
+            refit_seconds,
+            // Trigger → swap, as the client experiences it: the hand-off,
+            // the re-fit, and (in background mode) the poll delay.
+            wall_seconds: inflight.started.elapsed().as_secs_f64(),
+            persisted: outcome.is_some_and(|o| o.persisted),
+            ok: result.is_ok(),
+            error: result.as_ref().err().map(ToString::to_string),
+        });
+        metrics.set_refresh_in_flight(false);
+        metrics.set_pending(self.pending_objects() as u64, self.pending_links() as u64);
+        self.last_refresh = Some(match &result {
+            Ok(outcome) => Ok(outcome.clone()),
+            Err(e) => Err(e.to_string()),
+        });
+        // The next window may have crossed the thresholds while the re-fit
+        // ran; chain immediately rather than waiting for the next commit.
+        // A chained-*start* failure must not overwrite the landed
+        // refresh's outcome — the swap DID succeed, and `refresh_status`
+        // must say so; the un-started window stays pending, so the failure
+        // resurfaces on the next trigger or explicit refresh.
+        if result.is_ok() {
+            if let Some(trigger) = self.due_trigger() {
+                let _ = self.start_refit(trigger);
             }
         }
+        result
     }
 
-    /// One request line → one response line, commit/refresh aware. In
-    /// background mode a finished re-fit is swapped in first, so the
-    /// response is produced under exactly one snapshot.
-    pub fn handle_line(&mut self, line: &str) -> String {
-        self.poll_background();
-        match Self::parse_mutation(line) {
-            Some(req) => self.respond_mutation(&req),
-            None => self.engine.handle_line(line),
+    /// The failure path of a re-fit: the old snapshot keeps serving, and
+    /// the in-flight window is merged with the next one so the staged
+    /// delta survives intact for a retry (ids line up by construction —
+    /// the next window was staged on the future base).
+    fn restore(&mut self, window: Pending) {
+        let next = std::mem::replace(&mut self.pending, window);
+        let offset = u32::try_from(self.pending.rows.len())
+            // lint: allow(no-panic-in-serve) -- every staged id passed the u32 staged_slot bound at commit time, so the window length fits
+            .expect("window sizes passed staged_slot at commit time");
+        self.pending
+            .delta
+            .stack(next.delta)
+            // lint: allow(no-panic-in-serve) -- failure-retry merge of two windows this engine itself staged back-to-back; a mismatch is unrecoverable state desync
+            .expect("the next window was staged directly on top");
+        self.pending.rows.extend(next.rows);
+        self.pending.types.extend(next.types);
+        for (name, i) in next.names {
+            self.pending.names.insert(name, offset + i);
         }
+        // Log segments merge exactly like the windows: the in-flight
+        // window's records come first (lower absolute ids), matching the
+        // order they already hold on disk.
+        self.pending.records.extend(next.records);
     }
 
-    /// Handles a batch, preserving order: read-only runs go through the
-    /// inner engine's parallel batch path; mutations are applied at their
-    /// position in the stream.
+    /// One request line → one response line, commit/refresh aware. A
+    /// finished background re-fit is swapped in first, so the response is
+    /// produced under exactly one snapshot.
+    pub fn handle_line(&mut self, line: &str) -> String {
+        self.poll_refresh();
+        let started = self.engine.metrics().timer();
+        let parsed = Json::parse(line);
+        self.answer(&Request::decode(&parsed), started)
+    }
+
+    /// Handles a batch, preserving order: runs of requests that do not
+    /// take the lane go through the inner engine's parallel batch path;
+    /// the others are applied at their position in the stream.
     pub fn handle_batch(&mut self, lines: &[String]) -> Vec<String> {
-        self.poll_background();
+        self.poll_refresh();
+        let parsed: Vec<_> = lines.iter().map(|line| Json::parse(line)).collect();
+        let reqs: Vec<_> = parsed.iter().map(Request::decode).collect();
         let mut out = Vec::with_capacity(lines.len());
         let mut run_start = 0usize;
-        for (i, line) in lines.iter().enumerate() {
-            if let Some(req) = Self::parse_mutation(line) {
-                if run_start < i {
-                    out.extend(self.engine.handle_batch(&lines[run_start..i]));
-                }
-                out.push(self.respond_mutation(&req));
+        for (i, req) in reqs.iter().enumerate() {
+            if req.takes_lane() {
+                out.extend(self.engine.answer_batch(&reqs[run_start..i]));
+                let started = self.engine.metrics().timer();
+                out.push(self.answer(req, started));
                 run_start = i + 1;
             }
         }
-        if run_start < lines.len() {
-            out.extend(self.engine.handle_batch(&lines[run_start..]));
-        }
+        out.extend(self.engine.answer_batch(&reqs[run_start..]));
         out
     }
 
-    /// `Some(parsed)` when `line` is a mutating request this layer must
-    /// serialize (`refresh`, or `fold_in` with a `commit` field). Parse
-    /// failures return `None` — the inner engine produces the error
-    /// response. `pub(crate)` because the TCP front-end ([`crate::net`])
-    /// uses the same classifier to route lines between the shared-read
-    /// path and the exclusive mutation lane.
-    pub(crate) fn parse_mutation(line: &str) -> Option<Json> {
-        // Fast reject before paying for a parse: a mutation line must
-        // contain the literal key/op text somewhere (the inner engine
-        // re-parses whatever this layer delegates, so a full parse here
-        // would double the parse cost of the read-dominated hot path).
-        // False positives — e.g. an object *named* "commit" — just fall
-        // through to the precise check below. A backslash disables the
-        // fast path entirely: `\uXXXX` escapes can spell "commit" or
-        // "refresh" without the literal bytes appearing in the line.
-        // `stats` is intercepted (read-only) so this layer can extend the
-        // inner engine's response with the WAL fields only it knows.
-        if !(line.contains('\\')
-            || line.contains("refresh")
-            || line.contains("commit")
-            || line.contains("stats"))
-        {
-            return None;
-        }
-        let req = Json::parse(line).ok()?;
-        match req.get("op").and_then(Json::as_str) {
-            Some("refresh") | Some("refresh_status") | Some("stats") => Some(req),
-            Some("fold_in") if req.get("commit").is_some() => Some(req),
-            _ => None,
-        }
-    }
-
-    /// Wraps a mutation result in the engine's response envelope.
-    fn respond_mutation(&mut self, req: &Json) -> String {
-        // Cloned up front: `op_refresh` may swap `self.engine`, but the
+    /// Answers a decoded request: the lane ops here, every other op from
+    /// the current engine's core.
+    pub(crate) fn answer(&mut self, req: &Request<'_>, started: Option<Instant>) -> String {
+        // Cloned up front: a refresh may swap `self.engine`, but the
         // replacement is wired to the same registry, so timing against the
         // pre-swap Arc records into the same histograms.
         let metrics = self.engine.metrics().clone();
-        let started = metrics.timer();
-        let op = match req.get("op").and_then(Json::as_str) {
-            Some("refresh") => "refresh",
-            Some("refresh_status") => "refresh_status",
-            Some("stats") => "stats",
-            _ => "commit",
-        };
-        let result = match op {
-            "refresh" => self.op_refresh(),
-            "refresh_status" => self.op_refresh_status(req),
-            "stats" => self.op_stats(),
-            _ => self.op_commit(req),
-        };
-        let ok = result.is_ok();
-        let mut fields: Vec<(&str, Json)> = Vec::with_capacity(4);
-        if let Some(id) = req.get("id") {
-            fields.push(("id", id.clone()));
-        }
-        match result {
-            Ok(mut body) => {
-                fields.push(("ok", Json::Bool(true)));
-                fields.append(&mut body);
-            }
-            Err(e) => {
-                fields.push(("ok", Json::Bool(false)));
-                fields.push(("error", Json::str(e.to_string())));
-            }
-        }
-        let rendered = Json::obj(fields).render();
-        metrics.record_op(op, started, ok);
-        rendered
+        req.answer(&metrics, started, |op| match op {
+            Op::Commit(commit) => self.op_commit(commit),
+            Op::Stats => self.op_stats(),
+            Op::Refresh => self.op_refresh(),
+            Op::RefreshStatus { wait } => self.op_refresh_status(*wait),
+            read => self.engine.core().execute(read),
+        })
     }
 
     /// The inner engine's `stats` body extended with the WAL state only
     /// this layer knows — `wal_records` / `wal_error` used to be visible
     /// through `refresh_status` alone, which made the one-stop `stats`
     /// view silently incomplete on durable deployments.
-    fn op_stats(&self) -> Result<Vec<(&'static str, Json)>, ServeError> {
+    fn op_stats(&self) -> Result<Body, ServeError> {
         let mut fields = self.engine.core().op_stats()?;
+        self.push_wal_fields(&mut fields);
+        Ok(fields)
+    }
+
+    /// `wal_records` and the last truncation's `wal_error`, when present.
+    fn push_wal_fields(&self, fields: &mut Body) {
         if let Some(n) = self.wal_records() {
             fields.push(("wal_records", Json::Num(n as f64)));
         }
         if let Some(e) = self.wal_error() {
             fields.push(("wal_error", Json::str(e.to_string())));
         }
-        Ok(fields)
     }
 
-    fn outcome_pairs(outcome: &RefreshOutcome) -> Vec<(&'static str, Json)> {
+    /// `"inline"` or `"background"`, per [`RefreshPolicy::background`].
+    fn mode(&self) -> &'static str {
+        if self.policy.background {
+            "background"
+        } else {
+            "inline"
+        }
+    }
+
+    fn outcome_pairs(outcome: &RefreshOutcome) -> Body {
         vec![
             ("objects_added", Json::Num(outcome.objects_added as f64)),
             ("links_added", Json::Num(outcome.links_added as f64)),
@@ -1333,51 +1195,40 @@ impl RefreshableEngine {
         ]
     }
 
-    fn outcome_fields(&self, outcome: &RefreshOutcome, fields: &mut Vec<(&'static str, Json)>) {
+    /// What an inline refresh reports: `"refreshed":true`, the outcome,
+    /// and the refresh count.
+    fn refreshed_fields(&self, outcome: &RefreshOutcome) -> Body {
+        let mut fields = vec![("refreshed", Json::Bool(true))];
         fields.extend(Self::outcome_pairs(outcome));
         fields.push(("refreshes", Json::Num(self.refreshes as f64)));
+        fields
     }
 
-    fn op_refresh(&mut self) -> Result<Vec<(&'static str, Json)>, ServeError> {
-        if self.worker.is_some() {
-            // Background mode: kick the re-fit off and return immediately
-            // — the outcome arrives via `refresh_status` once it lands.
-            // `started:false` means one was already in flight.
-            let started = self.start_background_refresh()?;
-            return Ok(vec![
-                ("refreshed", Json::Bool(false)),
-                ("started", Json::Bool(started)),
-                ("in_flight", Json::Bool(true)),
-                ("refreshes", Json::Num(self.refreshes as f64)),
-                ("pending_objects", Json::Num(self.pending_objects() as f64)),
-                ("pending_links", Json::Num(self.pending_links() as f64)),
-            ]);
+    fn op_refresh(&mut self) -> Result<Body, ServeError> {
+        if !self.policy.background {
+            let outcome = self.refresh()?;
+            return Ok(self.refreshed_fields(&outcome));
         }
-        let outcome = self.refresh()?;
-        let mut fields = vec![("refreshed", Json::Bool(true))];
-        self.outcome_fields(&outcome, &mut fields);
-        Ok(fields)
+        // Background mode: kick the re-fit off and return immediately — the
+        // outcome arrives via `refresh_status` once it lands.
+        // `started:false` means one was already in flight.
+        let started = self.start_background_refresh()?;
+        Ok(vec![
+            ("refreshed", Json::Bool(false)),
+            ("started", Json::Bool(started)),
+            ("in_flight", Json::Bool(true)),
+            ("refreshes", Json::Num(self.refreshes as f64)),
+            ("pending_objects", Json::Num(self.pending_objects() as f64)),
+            ("pending_links", Json::Num(self.pending_links() as f64)),
+        ])
     }
 
-    fn op_refresh_status(&mut self, req: &Json) -> Result<Vec<(&'static str, Json)>, ServeError> {
-        let wait = match req.get("wait") {
-            None => false,
-            Some(j) => j
-                .as_bool()
-                .ok_or_else(|| ServeError::BadRequest("\"wait\" must be a boolean".into()))?,
-        };
+    fn op_refresh_status(&mut self, wait: bool) -> Result<Body, ServeError> {
         if wait {
             self.finish();
         }
         let mut fields = vec![
-            (
-                "mode",
-                Json::str(if self.worker.is_some() {
-                    "background"
-                } else {
-                    "inline"
-                }),
-            ),
+            ("mode", Json::str(self.mode())),
             ("in_flight", Json::Bool(self.refresh_in_flight())),
             ("refreshes", Json::Num(self.refreshes as f64)),
             ("pending_objects", Json::Num(self.pending_objects() as f64)),
@@ -1388,12 +1239,7 @@ impl RefreshableEngine {
             ),
             ("in_flight_links", Json::Num(self.in_flight_links() as f64)),
         ];
-        if let Some(n) = self.wal_records() {
-            fields.push(("wal_records", Json::Num(n as f64)));
-        }
-        if let Some(e) = self.wal_error() {
-            fields.push(("wal_error", Json::str(e.to_string())));
-        }
+        self.push_wal_fields(&mut fields);
         match &self.last_refresh {
             Some(Ok(outcome)) => {
                 fields.push(("last_outcome", Json::obj(Self::outcome_pairs(outcome))))
@@ -1404,29 +1250,24 @@ impl RefreshableEngine {
         Ok(fields)
     }
 
-    /// Decodes the `commit` field: a bare name, or `{name, type}`.
-    fn decode_commit(
+    /// Decodes the `commit` field — a bare name, or `{name, type}` — into
+    /// the new object's name and type. Without an explicit type it is
+    /// inferred from the links' relations.
+    fn decode_commit<'a>(
         &self,
-        req: &Json,
+        target: &'a Json,
         fold_req: &FoldInRequest,
-    ) -> Result<(String, ObjectTypeId), ServeError> {
-        let commit = req
-            .get("commit")
-            .ok_or(ServeError::Malformed("commit field missing"))?;
-        let (name, type_name) = match commit {
-            Json::Str(name) => (name.clone(), None),
+    ) -> Result<(&'a str, ObjectTypeId), ServeError> {
+        let (name, type_name) = match target {
+            Json::Str(name) => (name.as_str(), None),
             Json::Obj(_) => {
-                let name = commit
-                    .get("name")
-                    .and_then(Json::as_str)
-                    .ok_or_else(|| {
-                        ServeError::BadRequest("\"commit\" object needs a string \"name\"".into())
-                    })?
-                    .to_string();
-                let type_name = commit
+                let name = target.get("name").and_then(Json::as_str).ok_or_else(|| {
+                    ServeError::BadRequest("\"commit\" object needs a string \"name\"".into())
+                })?;
+                let type_name = target
                     .get("type")
                     .map(|t| {
-                        t.as_str().map(str::to_string).ok_or_else(|| {
+                        t.as_str().ok_or_else(|| {
                             ServeError::BadRequest("\"commit\".\"type\" must be a string".into())
                         })
                     })
@@ -1442,7 +1283,7 @@ impl RefreshableEngine {
         let schema = self.engine.graph().schema();
         let object_type = match type_name {
             Some(t) => schema
-                .object_type_by_name(&t)
+                .object_type_by_name(t)
                 .ok_or_else(|| ServeError::BadRequest(format!("unknown object type {t:?}")))?,
             None => {
                 // Infer from the link relations' source type; they must
@@ -1474,94 +1315,53 @@ impl RefreshableEngine {
         Ok((name, object_type))
     }
 
-    fn op_commit(&mut self, req: &Json) -> Result<Vec<(&'static str, Json)>, ServeError> {
+    fn op_commit(&mut self, commit: &Commit<'_>) -> Result<Body, ServeError> {
         // Commit link names resolve against snapshot ∪ staged — a commit
         // may cite an object staged earlier in this refresh window.
-        let fold_req = self
-            .engine
-            .core()
-            .decode_fold_in_with(req, &|n| self.resolve_committed(n))?;
-        let in_links = match req.get("in_links") {
-            Some(j) => self
-                .engine
-                .core()
-                .decode_link_triples(j, "in_links", &|n| self.resolve_committed(n))?,
+        let core = self.engine.core();
+        let resolve = |name: &str| self.resolve_committed(name);
+        let fold_req = core.decode_fold_in(&commit.fold_in, &resolve)?;
+        let in_links = match commit.in_links {
+            Some(links) => core.decode_link_triples(links, "in_links", &resolve)?,
             None => Vec::new(),
         };
-        let (name, object_type) = self.decode_commit(req, &fold_req)?;
-        // Validate the optional ranking parameters *before* staging — a
-        // commit is not repeatable, so nothing may fail after it.
-        let k = req
-            .get("k")
-            .map(|kj| {
-                kj.as_usize().ok_or_else(|| {
-                    ServeError::BadRequest("\"k\" must be a non-negative integer".into())
-                })
-            })
-            .transpose()?;
-        let sim = QueryCore::similarity(req)?;
-        let t = match k {
-            Some(_) => self.engine.core().candidate_type(req)?,
-            None => None,
-        };
-        let folded = self.commit_with_links(&name, object_type, &fold_req, &in_links)?;
-        let mut fields = vec![
-            ("theta", Json::nums(&folded.theta)),
-            ("cluster", Json::Num(argmax(&folded.theta) as f64)),
-            ("iterations", Json::Num(folded.iterations as f64)),
-            ("converged", Json::Bool(folded.converged)),
-            ("committed", Json::str(name)),
-        ];
-        // Rank against the *current* (pre-refresh) model — the same one
+        let (name, object_type) = self.decode_commit(commit.target, &fold_req)?;
+        // Validate the ranking *before* staging — a commit is not
+        // repeatable, so nothing may fail after it.
+        let ranked = core.ranking(&commit.fold_in.ranking)?;
+        let folded = self.commit_with_links(name, object_type, &fold_req, &in_links)?;
+        // Ranked against the *current* (pre-refresh) model — the same one
         // the folded row was inferred under, matching plain fold_in.
-        if let Some(k) = k {
-            let ranked = self
-                .engine
-                .core()
-                .ranked_json(&folded.theta, sim, k, t, None);
-            fields.push(("results", ranked));
-        }
-        if self.due_for_refresh() {
-            // Exactly-one-fire semantics: `due_for_refresh` is a single
+        let mut fields = self.engine.core().fold_in_body(&folded, Some(name), ranked);
+        if let Some(trigger) = self.due_trigger() {
+            // Exactly-one-fire semantics: `due_trigger` is a single
             // predicate over both thresholds, and acting on it drains the
             // window (inline swap, or hand-off to the worker) — so a
             // commit crossing the object AND link thresholds at once still
-            // triggers one refresh, never one per threshold.
-            self.next_trigger = Some(self.trigger_label());
-            if self.worker.is_some() {
-                if self.refresh_in_flight() {
-                    // The previous window is still re-fitting; this one
-                    // keeps accumulating and the completion path re-checks
-                    // the thresholds.
-                    fields.push(("refresh_in_flight", Json::Bool(true)));
-                } else {
-                    // Hand the window to the worker and keep serving. Like
-                    // the inline path below, a failure to *start* must not
-                    // fail the commit (it is staged and unrepeatable).
-                    match self.start_background_refresh() {
-                        Ok(_started) => fields.push(("refresh_started", Json::Bool(true))),
-                        Err(e) => {
-                            fields.push(("refresh_started", Json::Bool(false)));
-                            fields.push(("refresh_error", Json::str(e.to_string())));
-                        }
-                    }
-                }
-            } else {
-                // The commit itself already succeeded and is staged — a
-                // refresh failure (e.g. an unwritable persist path) must
-                // not turn this response into an error, or the client
-                // would retry a commit that cannot be repeated ("already
-                // staged"). Report it alongside the commit result; the
-                // engine keeps serving the previous snapshot and the
-                // staged delta stays intact for the next trigger or an
-                // explicit refresh.
-                match self.refresh() {
-                    Ok(outcome) => {
-                        fields.push(("refreshed", Json::Bool(true)));
-                        self.outcome_fields(&outcome, &mut fields);
-                    }
+            // triggers one refresh, never one per threshold. The commit
+            // itself already succeeded and is staged, so a refresh that
+            // fails to run or start must not turn this response into an
+            // error — the client would retry a commit that cannot be
+            // repeated ("already staged"). The failure is reported
+            // alongside; the engine keeps serving the previous snapshot and
+            // the staged delta stays intact for the next trigger.
+            if !self.policy.background {
+                match self.refresh_now(trigger) {
+                    Ok(outcome) => fields.extend(self.refreshed_fields(&outcome)),
                     Err(e) => {
                         fields.push(("refreshed", Json::Bool(false)));
+                        fields.push(("refresh_error", Json::str(e.to_string())));
+                    }
+                }
+            } else if self.refresh_in_flight() {
+                // The previous window is still re-fitting; this one keeps
+                // accumulating and the landing re-checks the thresholds.
+                fields.push(("refresh_in_flight", Json::Bool(true)));
+            } else {
+                match self.start_refit(trigger) {
+                    Ok(_) => fields.push(("refresh_started", Json::Bool(true))),
+                    Err(e) => {
+                        fields.push(("refresh_started", Json::Bool(false)));
                         fields.push(("refresh_error", Json::str(e.to_string())));
                     }
                 }
@@ -1861,6 +1661,11 @@ mod tests {
             (
                 r#"{"op":"fold_in","links":[["nn","ghost",1.0]],"commit":"y"}"#,
                 "ghost",
+            ),
+            // Ranking fields are validated whenever present, `"k"` or not.
+            (
+                r#"{"op":"fold_in","links":[["nn","s0",1.0]],"type":"router","commit":"y"}"#,
+                "unknown object type",
             ),
         ] {
             let resp = e.handle_line(line);
@@ -2260,6 +2065,75 @@ mod tests {
         assert_eq!(e.pending_objects(), 0);
         ok(&e.handle_line(r#"{"op":"membership","object":"c0"}"#));
         ok(&e.handle_line(r#"{"op":"membership","object":"c1"}"#));
+    }
+
+    /// A re-fit hook that panics on its first call only.
+    fn panic_once(e: &mut RefreshableEngine) {
+        let armed = std::sync::atomic::AtomicBool::new(true);
+        e.set_background_refit_hook(move || {
+            if armed.swap(false, std::sync::atomic::Ordering::SeqCst) {
+                panic!("injected re-fit failure");
+            }
+        });
+    }
+
+    #[test]
+    fn inline_refit_panic_is_contained_and_keeps_the_window() {
+        let mut e = RefreshableEngine::new(snapshot(), 1, RefreshPolicy::default());
+        panic_once(&mut e);
+        ok(&e.handle_line(r#"{"op":"fold_in","links":[["nn","s3",1.0]],"commit":"h0"}"#));
+        let staged = e.staged_state_bytes();
+        let resp = e.handle_line(r#"{"op":"refresh"}"#);
+        let v = Json::parse(&resp).unwrap();
+        assert_eq!(v.get("ok"), Some(&Json::Bool(false)), "{resp}");
+        assert!(resp.contains("re-fit panicked"), "{resp}");
+        assert_eq!(
+            e.staged_state_bytes(),
+            staged,
+            "the staged window is intact"
+        );
+        assert_eq!(e.refreshes(), 0);
+        let status = ok(&e.handle_line(r#"{"op":"refresh_status"}"#));
+        assert!(status.get("last_error").is_some(), "{status:?}");
+        // The next refresh succeeds and lands the window.
+        let r = ok(&e.handle_line(r#"{"op":"refresh"}"#));
+        assert_eq!(r.get("objects_added").unwrap().as_usize(), Some(1));
+        ok(&e.handle_line(r#"{"op":"membership","object":"h0"}"#));
+    }
+
+    #[test]
+    fn inline_refit_panic_does_not_poison_the_tcp_lane() {
+        use std::io::{BufRead, BufReader, Write};
+        let mut e = RefreshableEngine::new(snapshot(), 1, RefreshPolicy::default());
+        panic_once(&mut e);
+        let server = crate::net::NetServer::bind("127.0.0.1:0", e, Default::default()).unwrap();
+        let mut stream = std::net::TcpStream::connect(server.local_addr()).unwrap();
+        stream.set_nodelay(true).unwrap();
+        stream
+            .set_read_timeout(Some(std::time::Duration::from_secs(60)))
+            .unwrap();
+        let mut reader = BufReader::new(stream.try_clone().unwrap());
+        let mut send = |line: &str| {
+            writeln!(stream, "{line}").unwrap();
+            let mut resp = String::new();
+            reader.read_line(&mut resp).unwrap();
+            resp
+        };
+        ok(&send(
+            r#"{"op":"fold_in","links":[["nn","s3",1.0]],"commit":"t0"}"#,
+        ));
+        let resp = send(r#"{"op":"refresh"}"#);
+        assert!(resp.contains("\"ok\":false"), "{resp}");
+        assert!(resp.contains("re-fit panicked"), "{resp}");
+        // The lane is not poisoned: later commits and a refresh succeed.
+        ok(&send(
+            r#"{"op":"fold_in","links":[["nn","t0",1.0]],"commit":"t1"}"#,
+        ));
+        let r = ok(&send(r#"{"op":"refresh"}"#));
+        assert_eq!(r.get("objects_added").unwrap().as_usize(), Some(2));
+        ok(&send(r#"{"op":"membership","object":"t1"}"#));
+        drop((stream, reader));
+        assert_eq!(server.shutdown().refreshes(), 1);
     }
 
     #[test]

@@ -136,6 +136,7 @@ fn one_tcp_connection_matches_the_transcript() {
         )
         .unwrap();
         let mut stream = TcpStream::connect(server.local_addr()).unwrap();
+        stream.set_nodelay(true).unwrap();
         stream
             .set_read_timeout(Some(Duration::from_secs(60)))
             .unwrap();
