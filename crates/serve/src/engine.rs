@@ -149,7 +149,9 @@ impl QueryEngine {
     /// Handles one request line, producing one response line (never
     /// panics on malformed input; the error goes into the response).
     pub fn handle_line(&self, line: &str) -> String {
-        self.core.handle_line(line)
+        let started = self.core.metrics.timer();
+        let parsed = Json::parse(line);
+        self.core.answer(&Request::decode(&parsed), started)
     }
 
     /// Handles a batch of request lines: each is parsed once, then the
@@ -206,13 +208,6 @@ impl QueryCore {
         self.snapshot.graph()
     }
 
-    /// One request line → one response line.
-    pub fn handle_line(&self, line: &str) -> String {
-        let started = self.metrics.timer();
-        let parsed = Json::parse(line);
-        self.answer(&Request::decode(&parsed), started)
-    }
-
     /// Answers a decoded request.
     pub(crate) fn answer(&self, req: &Request<'_>, started: Option<Instant>) -> String {
         req.answer(&self.metrics, started, |op| self.execute(op))
@@ -228,10 +223,10 @@ impl QueryCore {
             Op::FoldIn(fold_in) | Op::Commit(Commit { fold_in, .. }) => self.op_fold_in(fold_in),
             Op::Stats => self.op_stats(),
             Op::Metrics => Ok(self.metrics.to_fields()),
-            Op::Refresh | Op::RefreshStatus { .. } => Err(ServeError::BadRequest(format!(
-                "unknown op {:?}",
-                op.label()
-            ))),
+            Op::Refresh => Err(ServeError::BadRequest("unknown op \"refresh\"".into())),
+            Op::RefreshStatus { .. } => Err(ServeError::BadRequest(
+                "unknown op \"refresh_status\"".into(),
+            )),
         }
     }
 

@@ -8,8 +8,8 @@
 //! undefined, and in a serving protocol that ambiguity is exploitable:
 //! with first-occurrence-wins, `{"commit":…,"commit":…}` could be
 //! validated against one value while a byte-level fast path detects the
-//! other. The writer emits
-//! compact JSON with round-trippable `f64` formatting.
+//! other. The writer emits compact JSON with round-trippable `f64`
+//! formatting.
 
 /// A parsed JSON value.
 #[derive(Debug, Clone, PartialEq)]

@@ -68,11 +68,12 @@
 //!
 //! [`RefreshPolicy::background`] only decides whether the serving thread
 //! waits. Inline mode (the default) waits for the swap
-//! ([`RefreshableEngine::finish`] right after the hand-off), so `refresh` and a triggering commit answer
-//! with the outcome. Background mode returns at once and keeps serving
-//! reads from the old engine for the entire warm-EM wall time; the
-//! serving thread polls the worker at the top of every
-//! `handle_line`/`handle_batch` and lands the re-fit when it is done.
+//! ([`RefreshableEngine::finish`] right after the hand-off), so `refresh`
+//! and a triggering commit answer with the outcome. Background mode
+//! returns at once and keeps serving reads from the old engine for the
+//! entire warm-EM wall time; the serving thread polls the worker at the
+//! top of every `handle_line`/`handle_batch` and lands the re-fit when it
+//! is done.
 //!
 //! Commits arriving while a background re-fit is in flight neither error
 //! nor block: they stage into the **next** delta window, based on the
@@ -322,23 +323,33 @@ impl RefreshableEngine {
     ) -> Result<(Self, WalRecoveryReport), ServeError> {
         let mut engine = Self::new(snapshot, threads, policy);
         let base_checksum = engine.engine.snapshot().header().checksum;
-        let (mut wal, replay) =
-            Wal::open_or_create(wal_path, base_checksum, engine.engine.graph())?;
+        let (wal, replay) = Wal::open_or_create(wal_path, base_checksum, engine.engine.graph())?;
         let replayed = replay.records.len();
         for (record, payload) in replay.records.into_iter().zip(replay.payloads) {
             engine.replay_record(&record, payload)?;
         }
+        engine.wal = Some(wal);
         // Canonicalize the log when recovery found it out of step with the
         // snapshot: records already absorbed (crash between a persisted
         // refresh and its truncation), or a header bound to an ancestor
         // snapshot. Rewriting now means the next recovery is exact.
         let n = engine.engine.graph().n_objects();
-        let rewritten =
-            replay.skipped > 0 || wal.base_objects() != n || wal.base_checksum() != base_checksum;
+        // lint: allow(no-panic-in-serve) -- startup recovery, two lines after `engine.wal = Some(wal)`; no request is in flight yet
+        let wal_ref = engine.wal.as_ref().expect("just set");
+        let rewritten = replay.skipped > 0
+            || wal_ref.base_objects() != n
+            || wal_ref.base_checksum() != base_checksum;
         if rewritten {
-            wal.truncate(base_checksum, n, &engine.pending.records)?;
+            let records = std::mem::take(&mut engine.pending.records);
+            let result = engine
+                .wal
+                .as_mut()
+                // lint: allow(no-panic-in-serve) -- same startup-recovery invariant as above: the WAL was assigned in this function
+                .expect("just set")
+                .truncate(base_checksum, n, &records);
+            engine.pending.records = records;
+            result?;
         }
-        engine.wal = Some(wal);
         // Surface what recovery found through the metrics registry too —
         // after a crash restart, `{"op":"metrics"}` reports the replay.
         {

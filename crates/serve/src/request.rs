@@ -35,10 +35,12 @@ pub(crate) type Body = Vec<(&'static str, Json)>;
 /// One decoded request line.
 pub(crate) struct Request<'a> {
     /// The request's `"id"`, echoed verbatim in the response.
-    pub id: Option<&'a Json>,
-    /// The decoded op, or the metric label and error of a line that does
-    /// not decode.
-    pub op: Result<Op<'a>, (&'static str, ServeError)>,
+    id: Option<&'a Json>,
+    /// The metrics label: the op's name, or `"other"` when the line names
+    /// no known op.
+    label: &'static str,
+    /// The decoded op, or why the line does not decode.
+    op: Result<Op<'a>, ServeError>,
 }
 
 /// What a request asks for.
@@ -99,20 +101,24 @@ impl<'a> Request<'a> {
                 let e = ServeError::BadRequest(format!("invalid JSON: {e}"));
                 return Self {
                     id: None,
-                    op: Err(("other", e)),
+                    label: "other",
+                    op: Err(e),
                 };
             }
         };
-        let op = match json.get("op").and_then(Json::as_str) {
-            Some("membership") => object(json)
-                .map(|object| Op::Membership { object })
-                .map_err(|e| ("membership", e)),
-            Some("top_k") => object(json)
-                .map(|object| Op::TopK {
+        let bad = |msg: String| Err(ServeError::BadRequest(msg));
+        let (label, op) = match json.get("op").and_then(Json::as_str) {
+            Some("membership") => (
+                "membership",
+                object(json).map(|object| Op::Membership { object }),
+            ),
+            Some("top_k") => (
+                "top_k",
+                object(json).map(|object| Op::TopK {
                     object,
                     ranking: Ranking::of(json),
-                })
-                .map_err(|e| ("top_k", e)),
+                }),
+            ),
             Some("fold_in") => {
                 let fold_in = FoldIn {
                     links: json.get("links"),
@@ -120,36 +126,40 @@ impl<'a> Request<'a> {
                     values: json.get("values"),
                     ranking: Ranking::of(json),
                 };
-                Ok(match json.get("commit") {
-                    Some(target) => Op::Commit(Commit {
-                        fold_in,
-                        in_links: json.get("in_links"),
-                        target,
-                    }),
-                    None => Op::FoldIn(fold_in),
-                })
+                match json.get("commit") {
+                    Some(target) => (
+                        "commit",
+                        Ok(Op::Commit(Commit {
+                            fold_in,
+                            in_links: json.get("in_links"),
+                            target,
+                        })),
+                    ),
+                    None => ("fold_in", Ok(Op::FoldIn(fold_in))),
+                }
             }
-            Some("stats") => Ok(Op::Stats),
-            Some("metrics") => Ok(Op::Metrics),
-            Some("refresh") => Ok(Op::Refresh),
-            Some("refresh_status") => match json.get("wait") {
-                None => Ok(Op::RefreshStatus { wait: false }),
-                Some(j) => j.as_bool().map(|wait| Op::RefreshStatus { wait }).ok_or((
-                    "refresh_status",
-                    ServeError::BadRequest("\"wait\" must be a boolean".into()),
-                )),
-            },
-            Some(other) => Err((
+            Some("stats") => ("stats", Ok(Op::Stats)),
+            Some("metrics") => ("metrics", Ok(Op::Metrics)),
+            Some("refresh") => ("refresh", Ok(Op::Refresh)),
+            Some("refresh_status") => (
+                "refresh_status",
+                match json.get("wait") {
+                    None => Ok(Op::RefreshStatus { wait: false }),
+                    Some(j) => match j.as_bool() {
+                        Some(wait) => Ok(Op::RefreshStatus { wait }),
+                        None => bad("\"wait\" must be a boolean".into()),
+                    },
+                },
+            ),
+            Some(other) => ("other", bad(format!("unknown op {other:?}"))),
+            None => (
                 "other",
-                ServeError::BadRequest(format!("unknown op {other:?}")),
-            )),
-            None => Err((
-                "other",
-                ServeError::BadRequest("request must carry a string \"op\" field".into()),
-            )),
+                bad("request must carry a string \"op\" field".into()),
+            ),
         };
         Self {
             id: json.get("id"),
+            label,
             op,
         }
     }
@@ -172,24 +182,8 @@ impl<'a> Request<'a> {
         run: impl FnOnce(&Op<'a>) -> Result<Body, ServeError>,
     ) -> String {
         match &self.op {
-            Ok(op) => respond(metrics, started, self.id, op.label(), run(op)),
-            Err((label, e)) => respond(metrics, started, self.id, label, Err::<Body, _>(e)),
-        }
-    }
-}
-
-impl Op<'_> {
-    /// The op's metrics label.
-    pub fn label(&self) -> &'static str {
-        match self {
-            Op::Membership { .. } => "membership",
-            Op::TopK { .. } => "top_k",
-            Op::FoldIn(_) => "fold_in",
-            Op::Commit(_) => "commit",
-            Op::Stats => "stats",
-            Op::Metrics => "metrics",
-            Op::Refresh => "refresh",
-            Op::RefreshStatus { .. } => "refresh_status",
+            Ok(op) => respond(metrics, started, self.id, self.label, run(op)),
+            Err(e) => respond(metrics, started, self.id, self.label, Err(e)),
         }
     }
 }
