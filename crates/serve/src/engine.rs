@@ -149,35 +149,34 @@ impl QueryEngine {
     /// Handles one request line, producing one response line (never
     /// panics on malformed input; the error goes into the response).
     pub fn handle_line(&self, line: &str) -> String {
-        let started = self.core.metrics.timer();
-        let parsed = Json::parse(line);
-        self.core.answer(&Request::decode(&parsed), started)
+        self.core.handle_line(line)
     }
 
-    /// Handles a batch of request lines: each is parsed once, then the
-    /// batch is answered concurrently across the worker pool; responses
+    /// Handles a batch of request lines concurrently across the worker
+    /// pool; each worker parses and answers its own lines, and responses
     /// come back in request order.
     pub fn handle_batch(&self, lines: &[String]) -> Vec<String> {
-        let parsed: Vec<_> = lines.iter().map(|line| Json::parse(line)).collect();
-        let reqs: Vec<_> = parsed.iter().map(Request::decode).collect();
-        self.answer_batch(&reqs)
+        let core = &*self.core;
+        self.par_map(lines, |line| core.handle_line(line))
     }
 
-    /// Answers decoded requests concurrently across the worker pool, one
-    /// contiguous chunk per worker, in request order.
-    pub(crate) fn answer_batch(&self, reqs: &[Request<'_>]) -> Vec<String> {
-        let core = &*self.core;
-        let answer = |req| core.answer(req, core.metrics.timer());
-        let n = reqs.len();
+    /// Maps `f` over `items` across the worker pool, one contiguous chunk
+    /// per worker, results in input order.
+    pub(crate) fn par_map<T: Sync, R: Send>(
+        &self,
+        items: &[T],
+        f: impl Fn(&T) -> R + Sync,
+    ) -> Vec<R> {
+        let n = items.len();
         let workers = self.threads.min(n.max(1));
         // `threads > 1` implies a pool was built; if that invariant ever
         // breaks, degrade to sequential handling rather than panic mid-batch.
         let pool = match &self.pool {
             Some(pool) if workers > 1 && n > 1 => pool,
-            _ => return reqs.iter().map(answer).collect(),
+            _ => return items.iter().map(f).collect(),
         };
         let chunk = n.div_ceil(workers);
-        let slots: Vec<Mutex<Vec<String>>> = (0..workers).map(|_| Mutex::new(Vec::new())).collect();
+        let slots: Vec<Mutex<Vec<R>>> = (0..workers).map(|_| Mutex::new(Vec::new())).collect();
         pool.broadcast(workers, &|i| {
             // Both bounds clamp to n: with chunk = ceil(n / workers), the
             // last workers' ranges can start past the end (e.g. 5 lines on
@@ -185,10 +184,10 @@ impl QueryEngine {
             // out empty, not out of bounds.
             let lo = (i * chunk).min(n);
             let hi = ((i + 1) * chunk).min(n);
-            let out: Vec<String> = reqs[lo..hi].iter().map(answer).collect();
+            let out: Vec<R> = items[lo..hi].iter().map(&f).collect();
             // Poison recovery: each slot is written exactly once by one
             // worker; a poisoned lock still holds a valid (empty or full)
-            // response vector.
+            // result vector.
             *slots[i].lock().unwrap_or_else(|p| p.into_inner()) = out;
         });
         slots
@@ -206,6 +205,13 @@ impl QueryCore {
     /// The underlying graph.
     fn graph(&self) -> &HinGraph {
         self.snapshot.graph()
+    }
+
+    /// One request line → one response line, timed from before the parse.
+    fn handle_line(&self, line: &str) -> String {
+        let started = self.metrics.timer();
+        let parsed = Json::parse(line);
+        self.answer(&Request::decode(&parsed), started)
     }
 
     /// Answers a decoded request.

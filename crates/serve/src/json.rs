@@ -111,8 +111,7 @@ impl Json {
         out
     }
 
-    /// Appends the compact rendering to `out`.
-    pub(crate) fn render_into(&self, out: &mut String) {
+    fn render_into(&self, out: &mut String) {
         match self {
             Json::Null => out.push_str("null"),
             Json::Bool(true) => out.push_str("true"),
@@ -129,24 +128,34 @@ impl Json {
                 }
                 out.push(']');
             }
-            Json::Obj(fields) => {
-                out.push('{');
-                for (i, (k, v)) in fields.iter().enumerate() {
-                    if i > 0 {
-                        out.push(',');
-                    }
-                    write_str(out, k);
-                    out.push(':');
-                    v.render_into(out);
-                }
-                out.push('}');
-            }
+            Json::Obj(fields) => write_obj(out, fields),
         }
     }
 }
 
+/// Renders an object with borrowed keys: [`Json::obj`] plus
+/// [`Json::render`] without copying a key.
+pub(crate) fn render_obj(fields: &[(&str, Json)]) -> String {
+    let mut out = String::with_capacity(128);
+    write_obj(&mut out, fields);
+    out
+}
+
+fn write_obj<K: AsRef<str>>(out: &mut String, fields: &[(K, Json)]) {
+    out.push('{');
+    for (i, (k, v)) in fields.iter().enumerate() {
+        if i > 0 {
+            out.push(',');
+        }
+        write_str(out, k.as_ref());
+        out.push(':');
+        v.render_into(out);
+    }
+    out.push('}');
+}
+
 /// Writes a JSON string literal with escaping.
-pub(crate) fn write_str(out: &mut String, s: &str) {
+fn write_str(out: &mut String, s: &str) {
     out.push('"');
     for c in s.chars() {
         match c {

@@ -123,10 +123,10 @@ use crate::request::{Body, Commit, Op, Request};
 use crate::snapshot::Snapshot;
 use crate::wal::{CommitRecord, Wal, WalRecoveryReport};
 use genclus_core::{GenClusConfig, GenClusModel};
-use genclus_hin::{GraphDelta, ObjectTypeId};
+use genclus_hin::{GraphDelta, HinError, ObjectId, ObjectTypeId, RelationId};
 use genclus_stats::MembershipMatrix;
 use std::path::{Path, PathBuf};
-use std::time::Instant;
+use std::time::{Duration, Instant};
 
 /// When and how the engine re-fits from its snapshot.
 #[derive(Debug, Clone)]
@@ -238,6 +238,41 @@ impl Pending {
             records: Vec::new(),
         }
     }
+
+    /// Stages one object at `slot`: the delta's new object with its
+    /// out-links, `in_links` and observations, then its fold-in row, type
+    /// and name. Stops at the first link or observation the delta rejects.
+    fn stage(
+        &mut self,
+        slot: u32,
+        object_type: ObjectTypeId,
+        name: &str,
+        req: &FoldInRequest,
+        in_links: &[(RelationId, ObjectId, f64)],
+        theta: Vec<f64>,
+    ) -> Result<ObjectId, HinError> {
+        let v = self.delta.add_object(object_type, name);
+        for &(r, target, w) in &req.links {
+            self.delta.add_link(v, target, r, w)?;
+        }
+        for &(r, source, w) in in_links {
+            self.delta.add_link(source, v, r, w)?;
+        }
+        for (a, bag) in &req.terms {
+            for &(term, count) in bag {
+                self.delta.add_term_count(v, *a, term, count)?;
+            }
+        }
+        for (a, values) in &req.values {
+            for &x in values {
+                self.delta.add_numeric(v, *a, x)?;
+            }
+        }
+        self.rows.push(theta);
+        self.types.push(object_type);
+        self.names.insert(name.to_string(), slot);
+        Ok(v)
+    }
 }
 
 /// A [`QueryEngine`] that can grow: stages committed fold-ins and re-fits
@@ -323,33 +358,23 @@ impl RefreshableEngine {
     ) -> Result<(Self, WalRecoveryReport), ServeError> {
         let mut engine = Self::new(snapshot, threads, policy);
         let base_checksum = engine.engine.snapshot().header().checksum;
-        let (wal, replay) = Wal::open_or_create(wal_path, base_checksum, engine.engine.graph())?;
+        let (mut wal, replay) =
+            Wal::open_or_create(wal_path, base_checksum, engine.engine.graph())?;
         let replayed = replay.records.len();
         for (record, payload) in replay.records.into_iter().zip(replay.payloads) {
-            engine.replay_record(&record, payload)?;
+            engine.replay_record(record, payload)?;
         }
-        engine.wal = Some(wal);
         // Canonicalize the log when recovery found it out of step with the
         // snapshot: records already absorbed (crash between a persisted
         // refresh and its truncation), or a header bound to an ancestor
         // snapshot. Rewriting now means the next recovery is exact.
         let n = engine.engine.graph().n_objects();
-        // lint: allow(no-panic-in-serve) -- startup recovery, two lines after `engine.wal = Some(wal)`; no request is in flight yet
-        let wal_ref = engine.wal.as_ref().expect("just set");
-        let rewritten = replay.skipped > 0
-            || wal_ref.base_objects() != n
-            || wal_ref.base_checksum() != base_checksum;
+        let rewritten =
+            replay.skipped > 0 || wal.base_objects() != n || wal.base_checksum() != base_checksum;
         if rewritten {
-            let records = std::mem::take(&mut engine.pending.records);
-            let result = engine
-                .wal
-                .as_mut()
-                // lint: allow(no-panic-in-serve) -- same startup-recovery invariant as above: the WAL was assigned in this function
-                .expect("just set")
-                .truncate(base_checksum, n, &records);
-            engine.pending.records = records;
-            result?;
+            wal.truncate(base_checksum, n, &engine.pending.records)?;
         }
+        engine.wal = Some(wal);
         // Surface what recovery found through the metrics registry too —
         // after a crash restart, `{"op":"metrics"}` reports the replay.
         {
@@ -381,73 +406,52 @@ impl RefreshableEngine {
     /// type, a sane `Θ` row), stages its delta mutations, and adopts its
     /// `Θ` row verbatim — fold-in is **not** re-run, which is what makes
     /// recovery bit-identical to the uninterrupted run.
-    fn replay_record(&mut self, record: &CommitRecord, payload: Vec<u8>) -> Result<(), ServeError> {
+    fn replay_record(&mut self, record: CommitRecord, payload: Vec<u8>) -> Result<(), ServeError> {
+        let CommitRecord {
+            object,
+            object_type,
+            name,
+            links,
+            in_links,
+            terms,
+            values,
+            theta,
+        } = record;
         let bad = |what: String| {
-            ServeError::Wal(format!(
-                "cannot replay the logged commit {:?}: {what}",
-                record.name
-            ))
+            ServeError::Wal(format!("cannot replay the logged commit {name:?}: {what}"))
         };
         let staged_index = Self::staged_slot(self.pending.rows.len())?;
         let graph = self.engine.graph();
         let expected = graph.n_objects() + self.pending.rows.len();
-        if record.object.index() != expected {
+        if object.index() != expected {
             return Err(bad(format!(
                 "it carries object id {} where {expected} was expected",
-                record.object.index()
+                object.index()
             )));
         }
-        if graph.object_by_name(&record.name).is_some()
-            || self.pending.names.contains_key(&record.name)
-        {
+        if graph.object_by_name(&name).is_some() || self.pending.names.contains_key(&name) {
             return Err(bad("an object of that name already exists".into()));
         }
-        if record.object_type.index() >= graph.schema().n_object_types() {
-            return Err(bad(format!("unknown object type {}", record.object_type)));
+        if object_type.index() >= graph.schema().n_object_types() {
+            return Err(bad(format!("unknown object type {object_type}")));
         }
         let k = self.engine.snapshot().model().n_clusters();
-        if record.theta.len() != k || record.theta.iter().any(|x| !x.is_finite()) {
+        if theta.len() != k || theta.iter().any(|x| !x.is_finite()) {
             return Err(bad(format!(
                 "its Θ row has {} entries (need {k}, all finite)",
-                record.theta.len()
+                theta.len()
             )));
         }
+        let req = FoldInRequest {
+            links,
+            terms,
+            values,
+        };
         let v = self
             .pending
-            .delta
-            .add_object(record.object_type, &record.name);
-        debug_assert_eq!(v, record.object, "sequential-id check above");
-        for &(r, target, w) in &record.links {
-            self.pending
-                .delta
-                .add_link(v, target, r, w)
-                .map_err(|e| bad(e.to_string()))?;
-        }
-        for &(r, source, w) in &record.in_links {
-            self.pending
-                .delta
-                .add_link(source, v, r, w)
-                .map_err(|e| bad(e.to_string()))?;
-        }
-        for (a, bag) in &record.terms {
-            for &(term, count) in bag {
-                self.pending
-                    .delta
-                    .add_term_count(v, *a, term, count)
-                    .map_err(|e| bad(e.to_string()))?;
-            }
-        }
-        for (a, values) in &record.values {
-            for &x in values {
-                self.pending
-                    .delta
-                    .add_numeric(v, *a, x)
-                    .map_err(|e| bad(e.to_string()))?;
-            }
-        }
-        self.pending.rows.push(record.theta.clone());
-        self.pending.types.push(record.object_type);
-        self.pending.names.insert(record.name.clone(), staged_index);
+            .stage(staged_index, object_type, &name, &req, &in_links, theta)
+            .map_err(|e| bad(e.to_string()))?;
+        debug_assert_eq!(v, object, "sequential-id check above");
         self.pending.records.push(payload);
         Ok(())
     }
@@ -749,48 +753,23 @@ impl RefreshableEngine {
             None => None,
         };
 
-        // The four `.expect`s below are deliberate: they run *after* the
-        // WAL append (the durability point). `assign` validated every
-        // link/term/value before the record hit disk, so a failure here is
-        // a staging/validation desync — returning an error would leave a
-        // logged commit that was never staged, and stopping loudly beats
-        // replaying that divergence forever.
-        let v = self.pending.delta.add_object(object_type, name);
-        for &(r, target, w) in &req.links {
-            self.pending
-                .delta
-                .add_link(v, target, r, w)
-                // lint: allow(no-panic-in-serve) -- post-durability-point invariant: assign validated this link before the WAL append; erroring out now would desync log and window
-                .expect("links were validated before staging");
-        }
-        for &(r, source, w) in in_links {
-            self.pending
-                .delta
-                .add_link(source, v, r, w)
-                // lint: allow(no-panic-in-serve) -- post-durability-point invariant, as above
-                .expect("in_links were validated before staging");
-        }
-        for (a, bag) in &req.terms {
-            for &(term, count) in bag {
-                self.pending
-                    .delta
-                    .add_term_count(v, *a, term, count)
-                    // lint: allow(no-panic-in-serve) -- post-durability-point invariant, as above
-                    .expect("terms were validated before staging");
-            }
-        }
-        for (a, values) in &req.values {
-            for &x in values {
-                self.pending
-                    .delta
-                    .add_numeric(v, *a, x)
-                    // lint: allow(no-panic-in-serve) -- post-durability-point invariant, as above
-                    .expect("values were validated before staging");
-            }
-        }
-        self.pending.rows.push(folded.theta.clone());
-        self.pending.types.push(object_type);
-        self.pending.names.insert(name.to_string(), staged_index);
+        // The `.expect` below is deliberate: it runs *after* the WAL append
+        // (the durability point). `assign` and the checks above validated
+        // every link/term/value before the record hit disk, so a failure
+        // here is a staging/validation desync — returning an error would
+        // leave a logged commit that was never staged, and stopping loudly
+        // beats replaying that divergence forever.
+        self.pending
+            .stage(
+                staged_index,
+                object_type,
+                name,
+                req,
+                in_links,
+                folded.theta.clone(),
+            )
+            // lint: allow(no-panic-in-serve) -- post-durability-point invariant: the commit was validated before the WAL append; erroring out now would desync log and window
+            .expect("the commit was validated before staging");
         if let Some(payload) = wal_payload {
             self.pending.records.push(payload);
         }
@@ -924,7 +903,11 @@ impl RefreshableEngine {
                 "a background re-fit is already in flight; wait for it via refresh_status".into(),
             ));
         }
-        self.start_refit(trigger)?;
+        if let Err(e) = self.start_refit(trigger) {
+            // A window that cannot be handed off is a failed refresh.
+            self.last_refresh = Some(Err(e.to_string()));
+            return Err(e);
+        }
         match self.worker.join() {
             Some(result) => self.land(result),
             None => Err(ServeError::Refresh("the re-fit did not start".into())),
@@ -1125,24 +1108,44 @@ impl RefreshableEngine {
         self.answer(&Request::decode(&parsed), started)
     }
 
-    /// Handles a batch, preserving order: runs of requests that do not
-    /// take the lane go through the inner engine's parallel batch path;
-    /// the others are applied at their position in the stream.
+    /// Handles a batch, preserving order. Each line is parsed here, which
+    /// routes it; runs of requests that do not take the lane are then
+    /// answered across the worker pool, the others at their position in
+    /// the stream.
     pub fn handle_batch(&mut self, lines: &[String]) -> Vec<String> {
         self.poll_refresh();
-        let parsed: Vec<_> = lines.iter().map(|line| Json::parse(line)).collect();
-        let reqs: Vec<_> = parsed.iter().map(Request::decode).collect();
+        let metrics = self.engine.metrics().clone();
+        let parsed: Vec<_> = lines
+            .iter()
+            .map(|line| {
+                let started = metrics.timer();
+                let json = Json::parse(line);
+                (started.map(|t| t.elapsed()), json)
+            })
+            .collect();
+        // A request's latency is its parse time plus its answer time, as
+        // on the single-line path; the wait between the two is the
+        // batch's, not the request's.
+        let reqs: Vec<_> = parsed
+            .iter()
+            .map(|(parse_time, json)| (*parse_time, Request::decode(json)))
+            .collect();
+        let timer =
+            |parse_time: Option<Duration>| parse_time.and_then(|d| Instant::now().checked_sub(d));
+        let reads = |engine: &QueryEngine, run: &[(Option<Duration>, Request<'_>)]| {
+            let core = engine.core();
+            engine.par_map(run, |(t, req)| core.answer(req, timer(*t)))
+        };
         let mut out = Vec::with_capacity(lines.len());
         let mut run_start = 0usize;
-        for (i, req) in reqs.iter().enumerate() {
+        for (i, (parse_time, req)) in reqs.iter().enumerate() {
             if req.takes_lane() {
-                out.extend(self.engine.answer_batch(&reqs[run_start..i]));
-                let started = self.engine.metrics().timer();
-                out.push(self.answer(req, started));
+                out.extend(reads(&self.engine, &reqs[run_start..i]));
+                out.push(self.answer(req, timer(*parse_time)));
                 run_start = i + 1;
             }
         }
-        out.extend(self.engine.answer_batch(&reqs[run_start..]));
+        out.extend(reads(&self.engine, &reqs[run_start..]));
         out
     }
 

@@ -23,7 +23,7 @@
 //! histogram once rendered.
 
 use crate::error::ServeError;
-use crate::json::{write_str, Json};
+use crate::json::{render_obj, Json};
 use crate::metrics::ServeMetrics;
 use genclus_core::Similarity;
 use std::fmt::Display;
@@ -238,30 +238,22 @@ pub(crate) fn respond<E: Display>(
     label: &str,
     result: Result<Body, E>,
 ) -> String {
-    let mut out = String::with_capacity(128);
-    out.push('{');
-    if let Some(id) = id {
-        out.push_str("\"id\":");
-        id.render_into(&mut out);
-        out.push(',');
-    }
     let ok = result.is_ok();
+    let mut fields: Body = Vec::with_capacity(4);
+    if let Some(id) = id {
+        fields.push(("id", id.clone()));
+    }
     match result {
-        Ok(body) => {
-            out.push_str("\"ok\":true");
-            for (key, value) in &body {
-                out.push(',');
-                write_str(&mut out, key);
-                out.push(':');
-                value.render_into(&mut out);
-            }
+        Ok(mut body) => {
+            fields.push(("ok", Json::Bool(true)));
+            fields.append(&mut body);
         }
         Err(e) => {
-            out.push_str("\"ok\":false,\"error\":");
-            write_str(&mut out, &e.to_string());
+            fields.push(("ok", Json::Bool(false)));
+            fields.push(("error", Json::str(e.to_string())));
         }
     }
-    out.push('}');
+    let out = render_obj(&fields);
     metrics.record_op(label, started, ok);
     out
 }

@@ -18,7 +18,8 @@
 //!
 //! 1. [`RefreshableEngine::handle_line`], in process;
 //! 2. one [`NetServer`] TCP connection;
-//! 3. the `genclus_serve` stdio binary.
+//! 3. the `genclus_serve` stdio binary, with two worker threads so each
+//!    batch is parsed and answered across the pool.
 //!
 //! On a mismatch the produced transcript is written to
 //! `wire_transcript.<transport>.jsonl` in the system temp dir.
@@ -170,6 +171,7 @@ fn stdio_binary_matches_the_transcript() {
         cmd.arg("--snapshot")
             .arg(&snap)
             .args(["--refresh-after-objects", &OBJECT_THRESHOLD.to_string()])
+            .args(["--threads", "2"])
             .arg("--quiet");
         if background {
             cmd.arg("--refresh-background");
