@@ -216,7 +216,8 @@ impl QueryCore {
 
     /// Answers a decoded request.
     pub(crate) fn answer(&self, req: &Request<'_>, started: Option<Instant>) -> String {
-        req.answer(&self.metrics, started, |op| self.execute(op))
+        req.render(|op| self.execute(op))
+            .record(&self.metrics, started)
     }
 
     /// Runs a decoded op. `refresh` and `refresh_status` are unknown to

@@ -210,12 +210,11 @@ impl Shared {
                 response
             }
             Err(_) => respond(
-                &self.metrics,
-                started,
                 None,
                 "other",
                 Err::<Body, _>("mutation lane poisoned by an earlier panic; restart the server"),
-            ),
+            )
+            .record(&self.metrics, started),
         }
     }
 }

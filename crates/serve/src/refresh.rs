@@ -1108,45 +1108,36 @@ impl RefreshableEngine {
         self.answer(&Request::decode(&parsed), started)
     }
 
-    /// Handles a batch, preserving order. Each line is parsed here, which
-    /// routes it; runs of requests that do not take the lane are then
-    /// answered across the worker pool, the others at their position in
-    /// the stream.
+    /// Handles a batch, preserving order. Every line is parsed on the
+    /// worker pool, and the reads are answered there too, from the engine
+    /// serving when the batch starts; the lane requests then run here in
+    /// stream order. A read behind a lane request that swapped the engine
+    /// is answered again here, so the responses reflect one consistent
+    /// interleaving.
     pub fn handle_batch(&mut self, lines: &[String]) -> Vec<String> {
         self.poll_refresh();
         let metrics = self.engine.metrics().clone();
-        let parsed: Vec<_> = lines
-            .iter()
-            .map(|line| {
-                let started = metrics.timer();
-                let json = Json::parse(line);
-                (started.map(|t| t.elapsed()), json)
+        let core = self.engine.core_shared();
+        let pre = self.engine.par_map(lines, |line| {
+            let started = metrics.timer();
+            let json = Json::parse(line);
+            let req = Request::decode(&json);
+            let read = req
+                .reads_core_only()
+                .then(|| req.render(|op| core.execute(op)));
+            (json, read, started.map(|t| t.elapsed()))
+        });
+        // Latencies are recorded here, in stream order; a request's is its
+        // own parse and answer time, not the batch's wait.
+        let since = |elapsed: Option<Duration>| elapsed.and_then(|d| Instant::now().checked_sub(d));
+        pre.into_iter()
+            .map(|(json, read, elapsed)| match read {
+                Some(read) if std::ptr::eq(&*core, self.engine.core()) => {
+                    read.record(&metrics, since(elapsed))
+                }
+                _ => self.answer(&Request::decode(&json), since(elapsed)),
             })
-            .collect();
-        // A request's latency is its parse time plus its answer time, as
-        // on the single-line path; the wait between the two is the
-        // batch's, not the request's.
-        let reqs: Vec<_> = parsed
-            .iter()
-            .map(|(parse_time, json)| (*parse_time, Request::decode(json)))
-            .collect();
-        let timer =
-            |parse_time: Option<Duration>| parse_time.and_then(|d| Instant::now().checked_sub(d));
-        let reads = |engine: &QueryEngine, run: &[(Option<Duration>, Request<'_>)]| {
-            let core = engine.core();
-            engine.par_map(run, |(t, req)| core.answer(req, timer(*t)))
-        };
-        let mut out = Vec::with_capacity(lines.len());
-        let mut run_start = 0usize;
-        for (i, (parse_time, req)) in reqs.iter().enumerate() {
-            if req.takes_lane() {
-                out.extend(reads(&self.engine, &reqs[run_start..i]));
-                out.push(self.answer(req, timer(*parse_time)));
-                run_start = i + 1;
-            }
-        }
-        out.extend(reads(&self.engine, &reqs[run_start..]));
-        out
+            .collect()
     }
 
     /// Answers a decoded request: the lane ops here, every other op from
@@ -1156,13 +1147,14 @@ impl RefreshableEngine {
         // replacement is wired to the same registry, so timing against the
         // pre-swap Arc records into the same histograms.
         let metrics = self.engine.metrics().clone();
-        req.answer(&metrics, started, |op| match op {
+        req.render(|op| match op {
             Op::Commit(commit) => self.op_commit(commit),
             Op::Stats => self.op_stats(),
             Op::Refresh => self.op_refresh(),
             Op::RefreshStatus { wait } => self.op_refresh_status(*wait),
             read => self.engine.core().execute(read),
         })
+        .record(&metrics, started)
     }
 
     /// The inner engine's `stats` body extended with the WAL state only

@@ -20,7 +20,7 @@
 //!
 //! Every response goes through [`respond`]: `{"id"?, "ok":true, body…}`
 //! or `{"id"?, "ok":false, "error":…}`, recorded into the op's latency
-//! histogram once rendered.
+//! histogram once rendered ([`Rendered::record`]).
 
 use crate::error::ServeError;
 use crate::json::{render_obj, Json};
@@ -173,18 +173,36 @@ impl<'a> Request<'a> {
         )
     }
 
-    /// Answers the request through [`respond`]: `run` executes a decoded
+    /// Whether the response depends on nothing but the serving core, so
+    /// a batch may answer it ahead of the lane requests before it.
+    /// `metrics` reads counters that every request moves.
+    pub fn reads_core_only(&self) -> bool {
+        !self.takes_lane() && !matches!(self.op, Ok(Op::Metrics))
+    }
+
+    /// Renders the response through [`respond`]: `run` executes a decoded
     /// op; a line that did not decode is answered with its error.
-    pub fn answer(
-        &self,
-        metrics: &ServeMetrics,
-        started: Option<Instant>,
-        run: impl FnOnce(&Op<'a>) -> Result<Body, ServeError>,
-    ) -> String {
+    pub fn render(&self, run: impl FnOnce(&Op<'a>) -> Result<Body, ServeError>) -> Rendered {
         match &self.op {
-            Ok(op) => respond(metrics, started, self.id, self.label, run(op)),
-            Err(e) => respond(metrics, started, self.id, self.label, Err(e)),
+            Ok(op) => respond(self.id, self.label, run(op)),
+            Err(e) => respond(self.id, self.label, Err(e)),
         }
+    }
+}
+
+/// A rendered response whose op metric is not recorded yet. The latency
+/// is taken once rendered, so it covers what the client waits for.
+pub(crate) struct Rendered {
+    text: String,
+    label: &'static str,
+    ok: bool,
+}
+
+impl Rendered {
+    /// Records the op's latency since `started` and returns the line.
+    pub fn record(self, metrics: &ServeMetrics, started: Option<Instant>) -> String {
+        metrics.record_op(self.label, started, self.ok);
+        self.text
     }
 }
 
@@ -229,15 +247,13 @@ fn object(json: &Json) -> Result<&str, ServeError> {
 }
 
 /// The one response envelope: `{"id"?, "ok":true, body…}` on success,
-/// `{"id"?, "ok":false, "error":…}` on failure. The latency is recorded
-/// under `label` after rendering, so it covers what the client waits for.
+/// `{"id"?, "ok":false, "error":…}` on failure, to be recorded under
+/// `label` by [`Rendered::record`].
 pub(crate) fn respond<E: Display>(
-    metrics: &ServeMetrics,
-    started: Option<Instant>,
     id: Option<&Json>,
-    label: &str,
+    label: &'static str,
     result: Result<Body, E>,
-) -> String {
+) -> Rendered {
     let ok = result.is_ok();
     let mut fields: Body = Vec::with_capacity(4);
     if let Some(id) = id {
@@ -253,9 +269,11 @@ pub(crate) fn respond<E: Display>(
             fields.push(("error", Json::str(e.to_string())));
         }
     }
-    let out = render_obj(&fields);
-    metrics.record_op(label, started, ok);
-    out
+    Rendered {
+        text: render_obj(&fields),
+        label,
+        ok,
+    }
 }
 
 /// The structured `BadRequest` for a request line over the byte cap. The
@@ -278,11 +296,5 @@ pub fn invalid_utf8_response(metrics: &ServeMetrics) -> String {
 /// A transport-level `BadRequest` (no id), recorded as an `other` op.
 fn bad_line(metrics: &ServeMetrics, message: String) -> String {
     let error = ServeError::BadRequest(message);
-    respond(
-        metrics,
-        metrics.timer(),
-        None,
-        "other",
-        Err::<Body, _>(error),
-    )
+    respond(None, "other", Err::<Body, _>(error)).record(metrics, metrics.timer())
 }
