@@ -14,16 +14,23 @@
 //! `ablate-sym`, `ablate-fixed`. `--quick` shrinks corpus sizes and restart
 //! counts so the whole suite finishes in well under a minute (used by the
 //! crate's tests); the default scale matches the paper's configurations.
+//!
+//! The [`gates`] module holds the performance gates, run by
+//!
+//! ```text
+//! cargo run --release -p genclus-bench --bin bench_gates -- [--quick] [--out <path>]
+//! ```
+//!
+//! which writes `BENCH_gates.json` and exits non-zero in full mode when a
+//! gate fails.
 
 pub mod ablations;
 pub mod dblp_experiments;
+pub mod gates;
 pub mod methods;
-pub mod perf;
 pub mod quantiles;
-pub mod refresh_perf;
 pub mod report;
 pub mod rss;
-pub mod serve_perf;
 pub mod timing;
 pub mod weather_experiments;
 

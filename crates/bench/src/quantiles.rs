@@ -1,8 +1,8 @@
 //! Latency quantiles through the shared obs histogram.
 //!
 //! The bench harness used to sort each cell's latency samples and index
-//! into the sorted vector — two slightly different nearest-rank formulas
-//! across `serve_perf` and `refresh_perf`. Both now go through
+//! into the sorted vector, with two slightly different nearest-rank
+//! formulas. The `fanout` and `stall` gates now go through
 //! [`genclus_obs::Histogram`], the same log-bucketed structure the
 //! serving layer's `{"op":"metrics"}` op reports from, so a bench p99
 //! and a served p99 are computed by the same code with the same bounded

@@ -97,7 +97,8 @@ impl GenClus {
     /// loaded model amortizes the work already done — a converged snapshot
     /// with no appended objects is (numerically) a fixed point of this call,
     /// and a lightly grown network converges in far fewer EM iterations
-    /// than a cold fit (`bench_refresh` measures the gap).
+    /// than a cold fit (a `genclus-bench` test asserts the gap on the
+    /// 1250-object weather network grown by 10%).
     ///
     /// `warm.theta` must cover every object of `graph` — callers growing
     /// the network first extend `Θ` with fold-in rows for the new objects

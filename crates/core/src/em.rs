@@ -20,8 +20,8 @@
 //! The step kernel is deliberately allocation-free and log-table-cached;
 //! [`crate::em_reference`] keeps the naive per-observation-`ln`,
 //! thread-spawn-per-step kernel around as the provably-equivalent baseline
-//! (`cargo run -p genclus-bench --bin bench_em` measures both). The rules
-//! the optimized kernel must uphold:
+//! (the `kernel` gate of `genclus-bench`'s `bench_gates` measures both;
+//! see `BENCH_gates.json`). The rules the optimized kernel must uphold:
 //!
 //! * **Jacobi sweep.** Every object's update reads only the *previous* `Θ`
 //!   (`theta_old`); the new rows land in a separate output buffer. This is

@@ -7,8 +7,8 @@
 //! step**, and spawns scoped OS threads **per step** instead of keeping a
 //! worker pool. The optimized kernel in [`crate::em`] must produce the same
 //! `Θ` to ≤ 1e-12 per entry (asserted by `cached_kernel_matches_naive_*`
-//! tests) and beat it on wall-time (measured by the `bench_em` binary, see
-//! `BENCH_em.json`).
+//! tests) and beat it on wall-time by at least 1.5× (the `kernel` gate of
+//! the `bench_gates` binary, see `BENCH_gates.json`).
 //!
 //! Do not "fix" the inefficiencies here — they are the yardstick.
 

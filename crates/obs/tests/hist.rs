@@ -1,8 +1,7 @@
 //! Exactness of histogram quantiles against sort-based quantiles.
 //!
-//! The bench harness (`serve_perf`, `refresh_perf`) used to sort its
-//! latency vectors and index into them; it now records into the shared
-//! [`Histogram`]. These tests pin the contract that made the swap safe:
+//! The bench harness used to sort its latency vectors and index into
+//! them; it now records into the shared [`Histogram`]. These tests pin the contract that made the swap safe:
 //! for any sample set, a histogram quantile is within `1/32` relative
 //! error of the nearest-rank quantile of the sorted samples (and exact
 //! below 32).

@@ -42,7 +42,7 @@ use crate::error::ServeError;
 use crate::foldin::{FoldInEngine, FoldInRequest, FoldInResult};
 use crate::json::Json;
 use crate::metrics::ServeMetrics;
-use crate::request::{Body, Commit, FoldIn, Op, Ranking, Request};
+use crate::request::{Body, FoldIn, Op, Ranking, Request};
 use crate::snapshot::Snapshot;
 use genclus_core::pool::WorkerPool;
 use genclus_core::prediction::{search, CandidateIndex};
@@ -87,8 +87,8 @@ impl QueryEngine {
     }
 
     /// [`Self::new`] wired to an existing registry — how a refresh keeps
-    /// counters cumulative across snapshot swaps, and how `bench_serve`
-    /// A/Bs a [`ServeMetrics::disabled`] registry.
+    /// counters cumulative across snapshot swaps, and how the `metrics`
+    /// gate of `bench_gates` A/Bs a [`ServeMetrics::disabled`] registry.
     pub fn with_metrics(snapshot: Snapshot, threads: usize, metrics: Arc<ServeMetrics>) -> Self {
         let threads = threads.max(1);
         let graph = snapshot.graph();
@@ -220,14 +220,17 @@ impl QueryCore {
             .record(&self.metrics, started)
     }
 
-    /// Runs a decoded op. `refresh` and `refresh_status` are unknown to
-    /// the read-only core, and a commit is answered as the plain fold-in it
-    /// carries; the refresh layer serves all three.
+    /// Runs a decoded op. The read-only core refuses the three ops that
+    /// need the refresh layer: a commit (it would stage nothing), and
+    /// `refresh` and `refresh_status`, which it does not know.
     pub(crate) fn execute(&self, op: &Op<'_>) -> Result<Body, ServeError> {
         match op {
             Op::Membership { object } => self.op_membership(object),
             Op::TopK { object, ranking } => self.op_top_k(object, ranking),
-            Op::FoldIn(fold_in) | Op::Commit(Commit { fold_in, .. }) => self.op_fold_in(fold_in),
+            Op::FoldIn(fold_in) => self.op_fold_in(fold_in),
+            Op::Commit(_) => Err(ServeError::BadRequest(
+                "\"commit\" needs a refreshable engine; this one is read-only".into(),
+            )),
             Op::Stats => self.op_stats(),
             Op::Metrics => Ok(self.metrics.to_fields()),
             Op::Refresh => Err(ServeError::BadRequest("unknown op \"refresh\"".into())),
@@ -604,6 +607,11 @@ mod tests {
             (
                 r#"{"op": "fold_in", "links": [["nn","s0",1.0]], "sim": "hamming"}"#,
                 "unknown similarity",
+            ),
+            // A read-only engine stages nothing, so it must not ack a commit.
+            (
+                r#"{"op": "fold_in", "links": [["nn","s0",1.0]], "commit": "s9"}"#,
+                "read-only",
             ),
         ] {
             let resp = engine.handle_line(line);

@@ -27,7 +27,7 @@
 //!
 //! The recording path is a couple of relaxed atomic adds plus one
 //! `Instant::now()` pair per request — cheap enough to leave on
-//! (`bench_serve` gates metrics-on mixed throughput ≥ 97% of metrics-off;
+//! (`bench_gates` gates metrics-on mixed throughput ≥ 97% of metrics-off;
 //! a [`ServeMetrics::disabled`] registry skips even the clock reads, and
 //! exists for that A/B and for embedders who want zero overhead).
 //!
@@ -153,7 +153,7 @@ impl ServeMetrics {
     }
 
     /// A registry that records nothing — not even the per-request clock
-    /// reads. For the `bench_serve` overhead A/B and zero-overhead
+    /// reads. For the `bench_gates` overhead A/B and zero-overhead
     /// embedders; the render methods still work (everything zero).
     pub fn disabled() -> Self {
         Self::build(false)

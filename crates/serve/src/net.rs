@@ -57,9 +57,8 @@
 //!   loop answers the error and keeps going).
 //! * Pipelined requests already buffered on a connection are coalesced
 //!   into one batch (up to the configured batch size) and answered with
-//!   a single write+flush — the amortization `BENCH_serve.json` shows
-//!   batch sizes are fastest at, without adding latency for lone
-//!   requests.
+//!   a single write+flush, amortizing the syscalls without adding
+//!   latency for lone requests.
 //! * At `max_connections` concurrent connections, new arrivals get one
 //!   structured error line and are closed (counted in `net.rejected`).
 //! * A write error on one connection (EPIPE and friends) closes *that*
