@@ -370,6 +370,28 @@ fn run(quick: bool, sweep: &[ScaledSpec]) -> GatesReport {
     }
 }
 
+/// The `bench_gates --quick` run minus the sweep, measured once per test
+/// binary and shared by the quick-run test of every section. The 100k
+/// presets belong to the release-mode smoke run; the sweep has its own
+/// test on shrunken presets.
+#[cfg(test)]
+pub(crate) fn quick_report() -> &'static GatesReport {
+    static REPORT: std::sync::OnceLock<GatesReport> = std::sync::OnceLock::new();
+    REPORT.get_or_init(|| run(true, &[]))
+}
+
+/// Asserts that a quick-run comparison measured 3 positive, finite pairs.
+#[cfg(test)]
+pub(crate) fn assert_measured(p: &Paired) {
+    assert_eq!(p.pairs.len(), 3, "{}", p.config);
+    for &(a, b) in &p.pairs {
+        assert!(
+            a > 0.0 && a.is_finite() && b > 0.0 && b.is_finite(),
+            "{p:?}"
+        );
+    }
+}
+
 /// Times `step()`: one untimed call, then the median of `samples` timed
 /// ones, in milliseconds.
 fn median_ms<R>(mut step: impl FnMut() -> R, samples: usize) -> f64 {
@@ -1350,37 +1372,15 @@ mod tests {
     }
 
     #[test]
-    fn quick_run_produces_consistent_report_and_json() {
-        // The `bench_gates --quick` run minus the sweep: the 100k presets
-        // belong to the release-mode smoke run, and the sweep has its own
-        // test above on shrunken presets.
-        let r = run(true, &[]);
+    fn quick_run_artifact_parses_and_saves() {
+        // The sections' values are checked by their own quick-run tests
+        // (`perf`, `serve_perf`, `refresh_perf` at the crate root); this
+        // one checks the document around them.
+        let r = quick_report();
         assert_eq!(r.mode, "quick");
-        for p in [&r.kernel, &r.batching, &r.metrics] {
-            assert_eq!(p.pairs.len(), 3, "{}", p.config);
-            for &(a, b) in &p.pairs {
-                assert!(
-                    a > 0.0 && a.is_finite() && b > 0.0 && b.is_finite(),
-                    "{p:?}"
-                );
-            }
-            assert!(p.median_ratio() > 0.0);
-        }
-        let f = &r.fanout;
-        assert!(f.offered_qps > 0.0 && f.offered_qps.is_finite());
-        assert_eq!((f.one.clients, f.many.clients), (1, 64));
-        for c in [&f.one, &f.many] {
-            assert!(c.requests >= 64, "cell N={} too small", c.clients);
-            assert!(c.qps > 0.0 && c.p50_ms <= c.p99_ms, "{c:?}");
-        }
-        for s in [&r.stall.inline, &r.stall.background] {
-            assert!(s.refresh_wall_ms > 0.0, "{s:?}");
-            assert!(s.queries_during_refresh >= 1, "{s:?}");
-            assert!(s.p50_ms <= s.p99_ms && s.p99_ms <= s.max_ms, "{s:?}");
-        }
-
         let json = Json::parse(&r.to_json().render()).expect("the artifact parses");
         assert_eq!(json.get("bench").and_then(Json::as_str), Some("gates"));
+        assert_eq!(json.get("mode").and_then(Json::as_str), Some("quick"));
         for key in [
             "kernel",
             "size_sweep",
@@ -1391,10 +1391,8 @@ mod tests {
         ] {
             assert!(json.get(key).is_some(), "missing {key}");
         }
-        let pairs = json.get("kernel").and_then(|k| k.get("pairs")).unwrap();
-        assert_eq!(pairs.as_arr().map(<[Json]>::len), Some(3));
         let v = json.get("violations").and_then(Json::as_arr).unwrap();
-        assert_eq!(v.len(), violations(&r).len());
+        assert_eq!(v.len(), violations(r).len());
 
         let path = std::env::temp_dir()
             .join(format!("genclus-bench-gates-{}", std::process::id()))

@@ -146,3 +146,82 @@ pub fn run_experiment(id: &str, scale: Scale) -> Report {
         other => panic!("unknown experiment id `{other}`"),
     }
 }
+
+/// Quick-run checks of the [`gates`] section that times the EM kernel (the
+/// size sweep is tested on shrunken presets in [`gates`] itself).
+#[cfg(test)]
+mod perf {
+    mod tests {
+        use crate::gates::{assert_measured, quick_report};
+        use genclus_serve::Json;
+
+        #[test]
+        fn quick_run_produces_consistent_report_and_json() {
+            let r = quick_report();
+            assert_measured(&r.kernel);
+            let json = Json::parse(&r.to_json().render()).expect("the artifact parses");
+            let pairs = json.get("kernel").and_then(|k| k.get("pairs"));
+            assert_eq!(pairs.and_then(Json::as_arr).map(<[Json]>::len), Some(3));
+            let cells = json.get("size_sweep").and_then(|s| s.get("cells"));
+            assert_eq!(cells.and_then(Json::as_arr).map(<[Json]>::len), Some(0));
+        }
+    }
+}
+
+/// Quick-run checks of the [`gates`] sections that measure the serving
+/// layer: batching, metrics overhead and TCP fan-out.
+#[cfg(test)]
+mod serve_perf {
+    mod tests {
+        use crate::gates::{assert_measured, quick_report};
+        use genclus_serve::Json;
+
+        #[test]
+        fn quick_run_produces_consistent_report_and_json() {
+            let r = quick_report();
+            assert_measured(&r.batching);
+            assert_measured(&r.metrics);
+            let f = &r.fanout;
+            assert!(f.offered_qps > 0.0 && f.offered_qps.is_finite());
+            assert_eq!((f.one.clients, f.many.clients), (1, 64));
+            for c in [&f.one, &f.many] {
+                assert!(c.requests >= 64, "cell N={} too small", c.clients);
+                assert!(c.qps > 0.0 && c.p50_ms <= c.p99_ms, "{c:?}");
+            }
+            let json = Json::parse(&r.to_json().render()).expect("the artifact parses");
+            for key in ["batching", "metrics"] {
+                let pairs = json.get(key).and_then(|p| p.get("pairs"));
+                assert_eq!(pairs.and_then(Json::as_arr).map(<[Json]>::len), Some(3));
+            }
+            let cells = json.get("fanout").and_then(|s| s.get("cells"));
+            assert_eq!(cells.and_then(Json::as_arr).map(<[Json]>::len), Some(2));
+        }
+    }
+}
+
+/// Quick-run checks of the [`gates`] section that measures query latency
+/// during an inline and a background refresh (warm < cold EM iterations is
+/// tested at full fixture scale in [`gates`]).
+#[cfg(test)]
+mod refresh_perf {
+    mod tests {
+        use crate::gates::quick_report;
+        use genclus_serve::Json;
+
+        #[test]
+        fn quick_run_produces_consistent_report_and_json() {
+            let r = quick_report();
+            for s in [&r.stall.inline, &r.stall.background] {
+                assert!(s.refresh_wall_ms > 0.0, "{s:?}");
+                assert!(s.queries_during_refresh >= 1, "{s:?}");
+                assert!(s.p50_ms <= s.p99_ms && s.p99_ms <= s.max_ms, "{s:?}");
+            }
+            let json = Json::parse(&r.to_json().render()).expect("the artifact parses");
+            let stall = json.get("stall").expect("stall section");
+            let cells = stall.get("cells").and_then(Json::as_arr).map(<[Json]>::len);
+            assert_eq!(cells, Some(2));
+            let reduction = stall.get("reduction").and_then(Json::as_f64);
+            assert_eq!(reduction, Some(r.stall.reduction()));
+        }
+    }
+}
