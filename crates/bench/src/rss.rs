@@ -34,8 +34,36 @@ pub fn reset_peak_rss() -> bool {
 mod tests {
     use super::*;
 
+    /// Runs the ignored test `name` alone in a child process of this test
+    /// binary. `VmHWM` and `clear_refs` are process-wide, and other tests
+    /// of this crate reset the peak from concurrent threads.
+    fn in_child_process(name: &str) {
+        let exe = std::env::current_exe().expect("the test binary's path");
+        let out = std::process::Command::new(exe)
+            .args([name, "--exact", "--ignored", "--test-threads=1"])
+            .output()
+            .expect("run an RSS check in a child process");
+        let stdout = String::from_utf8_lossy(&out.stdout);
+        assert!(
+            out.status.success() && stdout.contains("1 passed"),
+            "{name} failed in its child process:\n{stdout}\n{}",
+            String::from_utf8_lossy(&out.stderr)
+        );
+    }
+
     #[test]
     fn peak_rss_reads_plausibly_on_linux() {
+        in_child_process("rss::tests::peak_rss_reads_plausibly_alone");
+    }
+
+    #[test]
+    fn reset_makes_readings_per_interval_when_supported() {
+        in_child_process("rss::tests::reset_makes_readings_per_interval_alone");
+    }
+
+    #[test]
+    #[ignore = "run alone by `peak_rss_reads_plausibly_on_linux`"]
+    fn peak_rss_reads_plausibly_alone() {
         let Some(peak) = peak_rss_bytes() else {
             return; // not a /proc platform; the sweep records null
         };
@@ -57,7 +85,8 @@ mod tests {
     }
 
     #[test]
-    fn reset_makes_readings_per_interval_when_supported() {
+    #[ignore = "run alone by `reset_makes_readings_per_interval_when_supported`"]
+    fn reset_makes_readings_per_interval_alone() {
         if peak_rss_bytes().is_none() {
             return;
         }

@@ -65,7 +65,6 @@ pub mod feature;
 pub mod history;
 pub mod init;
 pub mod model;
-pub mod model_selection;
 pub mod objective;
 pub mod pool;
 pub mod prediction;
@@ -80,7 +79,6 @@ pub mod prelude {
     pub use crate::feature::FeatureKind;
     pub use crate::history::RunHistory;
     pub use crate::model::GenClusModel;
-    pub use crate::model_selection::{best_k_by_bic, select_k, SelectionScore};
     pub use crate::prediction::{rank_candidates, rank_row, top_k, Similarity};
     pub use crate::strength::{StrengthLearner, StrengthOutcome};
 }

@@ -11,11 +11,13 @@
 //! ```
 //!
 //! Reads one JSON request per stdin line and writes one JSON response per
-//! stdout line, in request order. Lines are gathered into batches of up to
-//! `--batch` requests (default 64) and executed concurrently across the
-//! worker pool; a **blank line** flushes the current batch immediately
-//! (and emits nothing itself), so interactive clients get an answer
-//! without filling a batch. EOF flushes and exits. See
+//! stdout line, in request order. Stdin/stdout is one session
+//! ([`genclus_serve::session`]), the same loop a TCP connection runs: the
+//! complete lines already read are coalesced into a batch of up to
+//! `--batch` requests (default 64), executed concurrently across the
+//! worker pool, and written with one flush. The session never waits for
+//! a batch to fill, so an interactive client gets each answer at once. A
+//! **blank line** is answered with nothing. EOF ends the session. See
 //! [`genclus_serve::engine`] for the read-side request vocabulary and
 //! [`genclus_serve::refresh`] for the grow/refresh side: fold-in requests
 //! with a `"commit"` field stage new objects, `--refresh-after-objects` /
@@ -28,22 +30,23 @@
 //! `--listen 127.0.0.1:7878` (or `:0` for an ephemeral port — the bound
 //! address is logged as `listening on <addr>`) serves the same JSON-lines
 //! protocol over TCP to many concurrent clients
-//! ([`genclus_serve::net`]): thread-per-connection, reads answered
+//! ([`genclus_serve::net`]): one session per connection, reads answered
 //! lock-free from an atomically swappable snapshot handle each connection
-//! pins per request, and all mutations (commits with their WAL
+//! pins per batch, and all mutations (commits with their WAL
 //! append+fsync, refreshes) serialized through one mutation lane so
-//! *ack ⇒ replayable* holds under concurrency. Per-connection error
-//! behavior differs from stdio by design:
+//! *ack ⇒ replayable* holds under concurrency. Batching and blank lines
+//! follow the same rules on both transports; how a session ends differs
+//! by design:
 //!
 //! * a write failure (EPIPE — the client vanished) closes **that**
-//!   connection and the process keeps serving the rest; only a stdio
-//!   stdout failure quiesces the whole process, because there the lone
-//!   client is gone;
+//!   connection and the process keeps serving the rest. On stdio it ends
+//!   the process, because there the lone client is gone: it quiesces
+//!   like EOF and exits 0 on a broken pipe, 1 on any other write error;
 //! * a request line over `--max-request-bytes` (default 1 MiB, both
-//!   paths) is answered with a structured `BadRequest` and then the TCP
-//!   connection is closed; the stdio loop answers the error and
-//!   continues. Either way the over-long line is discarded in bounded
-//!   chunks — it is never buffered whole;
+//!   transports) is answered with a structured `BadRequest`; the TCP
+//!   connection then closes, and the stdio session goes on. Either way
+//!   the over-long line is discarded in bounded chunks — it is never
+//!   buffered whole;
 //! * beyond `--max-connections` (default 1024) concurrent connections,
 //!   new arrivals get one structured error line and are closed.
 //!
@@ -99,9 +102,11 @@
 //! only errors (startup banner, recovery summaries, and truncation
 //! warnings are suppressed). Responses on stdout are never filtered.
 //!
-//! If stdout closes under the binary (`head`, a dying consumer — a broken
-//! pipe), it quiesces exactly like EOF — any in-flight re-fit lands, so
-//! `--refresh-save` and the WAL truncation still happen — and exits 0.
+//! Every mode leaves through one path: any in-flight re-fit lands (so
+//! `--refresh-save` and the WAL truncation still happen), the final
+//! metrics dump is written, and the process exits. If stdout closes under
+//! the binary (`head`, a dying consumer — a broken pipe), that is an EOF,
+//! not a crash, and the exit code is 0.
 //!
 //! Snapshots do not record the original fit's hyperparameters, so re-fits
 //! run under paper defaults; `--refresh-sigma` overrides the `γ`-prior
@@ -111,14 +116,10 @@
 //! API instead of this binary.
 
 use genclus_obs::log;
-use genclus_serve::lines::DEFAULT_MAX_REQUEST_BYTES;
 use genclus_serve::net::{NetConfig, NetServer};
-use genclus_serve::request::{invalid_utf8_response, over_limit_response};
+use genclus_serve::session::serve_stdio;
 use genclus_serve::snapshot;
-use genclus_serve::{
-    CappedLineReader, LineEvent, RefreshPolicy, RefreshableEngine, ServeMetrics, Snapshot,
-};
-use std::io::{Read, Write};
+use genclus_serve::{RefreshPolicy, RefreshableEngine, ServeMetrics, Snapshot};
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
 
@@ -132,6 +133,18 @@ fn usage() -> ! {
          [--quiet]"
     );
     std::process::exit(2);
+}
+
+/// The next argument, parsed and accepted by `valid`; the usage text
+/// otherwise.
+fn value<T: std::str::FromStr>(
+    args: &mut impl Iterator<Item = String>,
+    valid: impl Fn(&T) -> bool,
+) -> T {
+    args.next()
+        .and_then(|s| s.parse().ok())
+        .filter(valid)
+        .unwrap_or_else(|| usage())
 }
 
 /// How `--metrics-dump` renders the registry.
@@ -162,13 +175,18 @@ fn dump_metrics(metrics: &ServeMetrics, path: &Path, format: MetricsFormat, tmp_
     }
 }
 
-/// Drains in-flight work before exit: an in-flight background re-fit
-/// finishes (and persists + truncates the WAL, when configured) rather
-/// than being torn down mid-write with the process. Returns the exit
-/// code: non-zero when the final re-fit failed, since there is no later
-/// response line to surface it in.
-fn quiesce(engine: &mut RefreshableEngine) -> i32 {
-    let mut code = 0;
+/// The one way out, for every mode: drains in-flight work — an in-flight
+/// background re-fit finishes (and persists + truncates the WAL, when
+/// configured) rather than being torn down mid-write with the process —
+/// writes the final metrics dump, and exits. The code is non-zero when
+/// the session `failed` or the final re-fit failed, since there is no
+/// later response line to surface it in.
+fn shut_down(
+    mut engine: RefreshableEngine,
+    dump: &Option<(PathBuf, MetricsFormat)>,
+    failed: bool,
+) -> ! {
+    let mut code = i32::from(failed);
     if engine.refresh_in_flight() {
         log::info("waiting for the in-flight background re-fit before exit");
         engine.finish();
@@ -180,44 +198,10 @@ fn quiesce(engine: &mut RefreshableEngine) -> i32 {
     if let Some(e) = engine.wal_error() {
         log::warn(format!("the last commit-log truncation failed: {e}"));
     }
-    code
-}
-
-/// A stdout write failed. Quiesce first — acked commits are already
-/// durable in the WAL, but the re-fit/persist/truncate path must still
-/// land — then exit: cleanly for a broken pipe (the consumer went away;
-/// that is an EOF, not a crash), code 1 for anything else.
-fn exit_on_write_failure(
-    e: &std::io::Error,
-    engine: &mut RefreshableEngine,
-    dump: &Option<(PathBuf, MetricsFormat)>,
-) -> ! {
-    let code = quiesce(engine);
     if let Some((path, format)) = dump {
         dump_metrics(engine.engine().metrics(), path, *format, ".tmp-final");
     }
-    if e.kind() == std::io::ErrorKind::BrokenPipe {
-        log::info("stdout closed; exiting");
-        std::process::exit(code);
-    }
-    log::error(format!("stdout write failed: {e}"));
-    std::process::exit(1);
-}
-
-fn flush_batch(
-    pending: &mut Vec<String>,
-    out: &mut std::io::BufWriter<std::io::StdoutLock<'_>>,
-    engine: &mut RefreshableEngine,
-) -> std::io::Result<()> {
-    if pending.is_empty() {
-        return Ok(());
-    }
-    for response in engine.handle_batch(pending) {
-        writeln!(out, "{response}")?;
-    }
-    out.flush()?;
-    pending.clear();
-    Ok(())
+    std::process::exit(code);
 }
 
 fn main() {
@@ -225,9 +209,7 @@ fn main() {
     let mut wal_path: Option<PathBuf> = None;
     let mut listen: Option<String> = None;
     let mut threads = 1usize;
-    let mut batch = 64usize;
-    let mut max_request_bytes = DEFAULT_MAX_REQUEST_BYTES;
-    let mut max_connections = 1024usize;
+    let mut net = NetConfig::default();
     let mut policy = RefreshPolicy::default();
     let mut metrics_dump: Option<PathBuf> = None;
     let mut metrics_interval_secs = 10u64;
@@ -236,61 +218,19 @@ fn main() {
     let mut args = std::env::args().skip(1);
     while let Some(arg) = args.next() {
         match arg.as_str() {
-            "--snapshot" => {
-                snapshot_path = Some(PathBuf::from(args.next().unwrap_or_else(|| usage())))
-            }
-            "--wal" => wal_path = Some(PathBuf::from(args.next().unwrap_or_else(|| usage()))),
-            "--listen" => listen = Some(args.next().unwrap_or_else(|| usage())),
-            "--max-request-bytes" => {
-                max_request_bytes = args
-                    .next()
-                    .and_then(|s| s.parse().ok())
-                    .filter(|&b| b >= 1)
-                    .unwrap_or_else(|| usage())
-            }
-            "--max-connections" => {
-                max_connections = args
-                    .next()
-                    .and_then(|s| s.parse().ok())
-                    .filter(|&c| c >= 1)
-                    .unwrap_or_else(|| usage())
-            }
-            "--threads" => {
-                threads = args
-                    .next()
-                    .and_then(|s| s.parse().ok())
-                    .filter(|&t| t >= 1)
-                    .unwrap_or_else(|| usage())
-            }
-            "--batch" => {
-                batch = args
-                    .next()
-                    .and_then(|s| s.parse().ok())
-                    .filter(|&b| b >= 1)
-                    .unwrap_or_else(|| usage())
-            }
-            "--refresh-after-objects" => {
-                policy.max_pending_objects = args
-                    .next()
-                    .and_then(|s| s.parse().ok())
-                    .unwrap_or_else(|| usage())
-            }
-            "--refresh-after-links" => {
-                policy.max_pending_links = args
-                    .next()
-                    .and_then(|s| s.parse().ok())
-                    .unwrap_or_else(|| usage())
-            }
-            "--refresh-save" => {
-                policy.persist_path = Some(PathBuf::from(args.next().unwrap_or_else(|| usage())))
-            }
+            "--snapshot" => snapshot_path = Some(value(&mut args, |_| true)),
+            "--wal" => wal_path = Some(value(&mut args, |_| true)),
+            "--listen" => listen = Some(value(&mut args, |_| true)),
+            "--max-request-bytes" => net.max_request_bytes = value(&mut args, |&b| b >= 1),
+            "--max-connections" => net.max_connections = value(&mut args, |&c| c >= 1),
+            "--threads" => threads = value(&mut args, |&t| t >= 1),
+            "--batch" => net.batch = value(&mut args, |&b| b >= 1),
+            "--refresh-after-objects" => policy.max_pending_objects = value(&mut args, |_| true),
+            "--refresh-after-links" => policy.max_pending_links = value(&mut args, |_| true),
+            "--refresh-save" => policy.persist_path = Some(value(&mut args, |_| true)),
             "--refresh-background" => policy.background = true,
             "--refresh-sigma" => {
-                let sigma: f64 = args
-                    .next()
-                    .and_then(|s| s.parse().ok())
-                    .filter(|&s: &f64| s > 0.0 && s.is_finite())
-                    .unwrap_or_else(|| usage());
+                let sigma: f64 = value(&mut args, |&s: &f64| s > 0.0 && s.is_finite());
                 // K and the attribute subset are placeholders — the refresh
                 // path realigns them with the served model before fitting.
                 let mut cfg =
@@ -298,9 +238,7 @@ fn main() {
                 cfg.sigma = sigma;
                 policy.base_config = Some(cfg);
             }
-            "--metrics-dump" => {
-                metrics_dump = Some(PathBuf::from(args.next().unwrap_or_else(|| usage())))
-            }
+            "--metrics-dump" => metrics_dump = Some(value(&mut args, |_| true)),
             "--metrics-interval" => match args.next().and_then(|s| s.parse().ok()) {
                 Some(secs) if secs >= 1 => metrics_interval_secs = secs,
                 // A bare `usage()` here buried the real problem: 0 is not
@@ -350,7 +288,7 @@ fn main() {
         snapshot.model().n_clusters(),
         snapshot.header().version,
         threads,
-        batch,
+        net.batch,
         policy.max_pending_objects,
         policy.max_pending_links,
         if policy.background {
@@ -419,13 +357,7 @@ fn main() {
 
     // ---- TCP mode: stdin only controls the server's lifetime. ----
     if let Some(addr) = listen {
-        let cfg = NetConfig {
-            batch,
-            max_request_bytes,
-            max_connections,
-            ..NetConfig::default()
-        };
-        let server = match NetServer::bind(addr.as_str(), engine, cfg) {
+        let server = match NetServer::bind(addr.as_str(), engine, net) {
             Ok(s) => s,
             Err(e) => {
                 log::error(format!("failed to bind {addr}: {e}"));
@@ -435,81 +367,13 @@ fn main() {
         // Block until stdin closes (hold it open — a fifo, a pipe — to
         // keep serving; close it for a graceful stop). Bytes written to
         // stdin in this mode are ignored.
-        let mut sink = [0u8; 4096];
-        let mut stdin = std::io::stdin().lock();
-        loop {
-            match stdin.read(&mut sink) {
-                Ok(0) => break,
-                Ok(_) => continue,
-                Err(e) if e.kind() == std::io::ErrorKind::Interrupted => continue,
-                Err(e) => {
-                    log::error(format!("stdin read failed: {e}"));
-                    break;
-                }
-            }
+        if let Err(e) = std::io::copy(&mut std::io::stdin().lock(), &mut std::io::sink()) {
+            log::error(format!("stdin read failed: {e}"));
         }
         log::info("stdin closed; draining connections");
-        let mut engine = server.shutdown();
-        let code = quiesce(&mut engine);
-        if let Some((path, format)) = &dump {
-            dump_metrics(engine.engine().metrics(), path, *format, ".tmp-final");
-        }
-        std::process::exit(code);
+        shut_down(server.shutdown(), &dump, false);
     }
 
-    // ---- stdio mode: the original single-stream loop, now reading
-    // through the byte-capped line reader. ----
-    let metrics: Arc<ServeMetrics> = engine.engine().metrics().clone();
-    let stdin = std::io::stdin();
-    let stdout = std::io::stdout();
-    let mut out = std::io::BufWriter::new(stdout.lock());
-    let mut pending: Vec<String> = Vec::with_capacity(batch);
-    let mut reader = CappedLineReader::new(stdin.lock(), max_request_bytes);
-    loop {
-        // Out-of-band events (over-limit, bad UTF-8) flush the pending
-        // batch before answering, so responses keep request order.
-        let out_of_band = match reader.next_event() {
-            LineEvent::Line(line) => {
-                if line.trim().is_empty() {
-                    if let Err(e) = flush_batch(&mut pending, &mut out, &mut engine) {
-                        exit_on_write_failure(&e, &mut engine, &dump);
-                    }
-                    continue;
-                }
-                pending.push(line);
-                if pending.len() >= batch {
-                    if let Err(e) = flush_batch(&mut pending, &mut out, &mut engine) {
-                        exit_on_write_failure(&e, &mut engine, &dump);
-                    }
-                }
-                continue;
-            }
-            LineEvent::OverLimit { discarded } => {
-                metrics.record_over_limit();
-                over_limit_response(&metrics, discarded, max_request_bytes)
-            }
-            LineEvent::NotUtf8 => invalid_utf8_response(&metrics),
-            // Stdin has no read timeout, so Idle cannot occur.
-            LineEvent::Idle => continue,
-            LineEvent::Eof => break,
-            LineEvent::Err(e) => {
-                log::error(format!("stdin read failed: {e}"));
-                break;
-            }
-        };
-        let write = flush_batch(&mut pending, &mut out, &mut engine)
-            .and_then(|()| writeln!(out, "{out_of_band}"))
-            .and_then(|()| out.flush());
-        if let Err(e) = write {
-            exit_on_write_failure(&e, &mut engine, &dump);
-        }
-    }
-    if let Err(e) = flush_batch(&mut pending, &mut out, &mut engine) {
-        exit_on_write_failure(&e, &mut engine, &dump);
-    }
-    let code = quiesce(&mut engine);
-    if let Some((path, format)) = &dump {
-        dump_metrics(engine.engine().metrics(), path, *format, ".tmp-final");
-    }
-    std::process::exit(code);
+    let ended = serve_stdio(&mut engine, &net);
+    shut_down(engine, &dump, ended.is_err());
 }

@@ -50,7 +50,6 @@ use genclus_core::Similarity;
 use genclus_hin::{HinGraph, ObjectId, ObjectTypeId};
 use genclus_stats::simplex::argmax;
 use std::sync::{Arc, Mutex};
-use std::time::Instant;
 
 /// A loaded snapshot plus everything needed to answer queries.
 ///
@@ -122,8 +121,8 @@ impl QueryEngine {
         &self.core.metrics
     }
 
-    /// The shareable request handler (no pool) — the refresh layer uses it
-    /// to decode wire requests without re-implementing the protocol.
+    /// The shareable request handler (no pool) — the core the refresh
+    /// layer's lane answers reads from.
     pub(crate) fn core(&self) -> &QueryCore {
         &self.core
     }
@@ -211,12 +210,8 @@ impl QueryCore {
     fn handle_line(&self, line: &str) -> String {
         let started = self.metrics.timer();
         let parsed = Json::parse(line);
-        self.answer(&Request::decode(&parsed), started)
-    }
-
-    /// Answers a decoded request.
-    pub(crate) fn answer(&self, req: &Request<'_>, started: Option<Instant>) -> String {
-        req.render(|op| self.execute(op))
+        Request::decode(&parsed)
+            .render(|op| self.execute(op))
             .record(&self.metrics, started)
     }
 

@@ -22,7 +22,7 @@
 //! * [`engine`] — a JSON-lines query engine ([`engine::QueryEngine`])
 //!   that batches concurrent fold-in, membership, and §5.2.2 top-k
 //!   link-prediction queries across the persistent worker pool; the
-//!   `genclus_serve` binary is its stdin/stdout loop;
+//!   `genclus_serve` binary serves it over stdin/stdout or TCP;
 //! * [`refresh`] — the warm-start refresh loop
 //!   ([`refresh::RefreshableEngine`]): fold-in requests carrying a
 //!   `"commit"` field are staged into a
@@ -66,15 +66,19 @@
 //!   and live EM convergence (the registry is a
 //!   [`TraceSink`](genclus_obs::TraceSink) for warm re-fits), served as
 //!   `{"op":"metrics"}` in a byte-stable JSON schema or Prometheus text;
+//! * [`session`] — the one session loop both transports run: it reads
+//!   through the byte-capped [`lines::CappedLineReader`] (so untrusted
+//!   input cannot buffer unbounded memory), coalesces the lines already
+//!   buffered into a batch, answers it through one router that sends each
+//!   request to the mutation lane or a read core, and writes the batch
+//!   with one flush. The binary's stdio mode is one session
+//!   ([`session::serve_stdio`]);
 //! * [`net`] — the multi-client TCP front-end ([`net::NetServer`],
-//!   `--listen` on the binary): thread-per-connection JSON-lines serving
-//!   where reads share the snapshot lock-free (an atomically swappable
-//!   `Arc` of the read core, pinned per request per connection) and all
-//!   mutations serialize through one lane, so the WAL's
-//!   *ack ⇒ replayable* contract holds under concurrency. Request lines
-//!   on every path — stdio and TCP — are read through the byte-capped
-//!   [`lines::CappedLineReader`], so untrusted input cannot buffer
-//!   unbounded memory.
+//!   `--listen` on the binary): one session per connection, where reads
+//!   share the snapshot lock-free (an atomically swappable `Arc` of the
+//!   read core, pinned per batch per connection) and all mutations
+//!   serialize through one lane, so the WAL's *ack ⇒ replayable* contract
+//!   holds under concurrency.
 //!
 //! # Quickstart
 //!
@@ -130,6 +134,7 @@ pub mod metrics;
 pub mod net;
 pub mod refresh;
 pub mod request;
+pub mod session;
 pub mod snapshot;
 pub mod wal;
 

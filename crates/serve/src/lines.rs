@@ -1,19 +1,25 @@
 //! Bounded request-line reading for untrusted streams.
 //!
-//! The serving loop used to read requests via `BufRead::lines()`, which
-//! happily buffers a single newline-free line of any length — one
-//! malicious (or simply buggy) peer could balloon resident memory without
-//! ever reaching the JSON parser's depth cap. [`CappedLineReader`] is the
-//! replacement used by **both** the stdio loop and every TCP connection
-//! ([`crate::net`]): it owns a small accumulation buffer, enforces a hard
-//! per-line byte cap, and reports an over-long line as a structured
+//! `BufRead::lines()` happily buffers a single newline-free line of any
+//! length — one malicious (or simply buggy) peer could balloon resident
+//! memory without ever reaching the JSON parser's depth cap.
+//! [`CappedLineReader`] is the reader of the one session loop
+//! ([`crate::session`]), so stdin and every TCP connection read through
+//! it: it owns a small accumulation buffer, enforces a hard per-line byte
+//! cap, and reports an over-long line as a structured
 //! [`LineEvent::OverLimit`] *after physically discarding it in bounded
 //! chunks* — memory stays O(cap + one read chunk) no matter what the peer
-//! sends.
+//! sends. A final line without a newline is returned like any other.
+//!
+//! The session reads in two steps: [`CappedLineReader::next_event`]
+//! blocks for the first line of a batch, and
+//! [`CappedLineReader::next_buffered`] hands over the complete lines
+//! already buffered without touching the stream, which is how a batch
+//! coalesces pipelined requests without waiting for more.
 //!
 //! The reader also cooperates with socket read timeouts: a
 //! `WouldBlock`/`TimedOut` read surfaces as [`LineEvent::Idle`] with any
-//! partial line retained, so a connection loop can interleave housekeeping
+//! partial line retained, so a session can interleave housekeeping
 //! (landing a finished background re-fit, checking the shutdown flag)
 //! with blocking reads — no extra threads, no lost bytes.
 
@@ -70,9 +76,9 @@ pub struct CappedLineReader<R> {
     /// already scanned without finding one).
     scan: usize,
     max: usize,
-    /// `Some(n)` while discarding an over-long line; `n` counts the bytes
-    /// dropped so far.
-    discarding: Option<usize>,
+    /// Bytes of the current line already dropped: non-zero only while an
+    /// over-long line is being discarded.
+    dropped: usize,
     eof: bool,
 }
 
@@ -85,17 +91,22 @@ impl<R: Read> CappedLineReader<R> {
             pos: 0,
             scan: 0,
             max: max_line_bytes.max(1),
-            discarding: None,
+            dropped: 0,
             eof: false,
         }
     }
 
     /// Extracts `buf[pos..i]` as a line (dropping the `\n` at `i`, and a
-    /// preceding `\r` if present), advancing the cursor past it.
+    /// preceding `\r` if present), advancing the cursor past it; a line
+    /// over the cap, counting its dropped bytes, is only skipped.
     fn take_line(&mut self, i: usize) -> LineEvent {
         let start = self.pos;
         self.pos = i + 1;
         self.scan = self.pos;
+        let len = std::mem::take(&mut self.dropped) + i - start;
+        if len > self.max {
+            return LineEvent::OverLimit { discarded: len };
+        }
         let mut line = &self.buf[start..i];
         if line.last() == Some(&b'\r') {
             line = &line[..line.len() - 1];
@@ -107,31 +118,19 @@ impl<R: Read> CappedLineReader<R> {
     }
 
     /// A complete line already sitting in the buffer, without touching
-    /// the underlying stream — how a connection loop coalesces pipelined
+    /// the underlying stream — how a session coalesces pipelined
     /// requests into one batch without risking a block on the socket.
     /// Over-limit/UTF-8 events surface here too (they must keep their
     /// position in the request order).
     pub fn next_buffered(&mut self) -> Option<LineEvent> {
-        if self.discarding.is_some() {
-            // Mid-discard: only a fresh read can finish the line.
-            return None;
-        }
         if let Some(i) = memchr_newline(&self.buf[self.scan..]) {
-            let i = self.scan + i;
-            let len = i - self.pos;
-            if len > self.max {
-                self.pos = i + 1;
-                self.scan = self.pos;
-                return Some(LineEvent::OverLimit { discarded: len });
-            }
-            return Some(self.take_line(i));
+            return Some(self.take_line(self.scan + i));
         }
         self.scan = self.buf.len();
-        if self.buf.len() - self.pos > self.max {
-            // Over the cap with no newline in sight: drop what we hold
-            // and switch to discard mode; the event fires once the
-            // line's end is actually consumed.
-            self.discarding = Some(self.buf.len() - self.pos);
+        if self.dropped + self.buf.len() - self.pos > self.max {
+            // Over the cap with no newline in sight: drop what we hold;
+            // the event fires once the line's end is actually consumed.
+            self.dropped += self.buf.len() - self.pos;
             self.buf.clear();
             self.pos = 0;
             self.scan = 0;
@@ -144,21 +143,7 @@ impl<R: Read> CappedLineReader<R> {
     pub fn next_event(&mut self) -> LineEvent {
         let mut chunk = [0u8; 8192];
         loop {
-            // Finish an in-progress discard first: scan reads for the
-            // newline that ends the over-long line, dropping everything.
-            // The cursor is always 0 mid-discard (the buffer was cleared
-            // on entry and after each scanned chunk).
-            if let Some(dropped) = self.discarding {
-                if let Some(i) = memchr_newline(&self.buf) {
-                    let total = dropped + i;
-                    self.pos = i + 1;
-                    self.scan = self.pos;
-                    self.discarding = None;
-                    return LineEvent::OverLimit { discarded: total };
-                }
-                self.discarding = Some(dropped + self.buf.len());
-                self.buf.clear();
-            } else if let Some(event) = self.next_buffered() {
+            if let Some(event) = self.next_buffered() {
                 return event;
             }
             if self.eof {
@@ -175,28 +160,12 @@ impl<R: Read> CappedLineReader<R> {
             match self.inner.read(&mut chunk) {
                 Ok(0) => {
                     self.eof = true;
-                    if let Some(dropped) = self.discarding.take() {
-                        return LineEvent::OverLimit { discarded: dropped };
+                    // Terminate a final unterminated line, or the tail of
+                    // an over-long one: the next scan ends it like any
+                    // other.
+                    if self.dropped > 0 || self.pos < self.buf.len() {
+                        self.buf.push(b'\n');
                     }
-                    if self.pos < self.buf.len() {
-                        // Final unterminated line.
-                        let start = self.pos;
-                        let len = self.buf.len() - start;
-                        self.pos = self.buf.len();
-                        self.scan = self.pos;
-                        if len > self.max {
-                            return LineEvent::OverLimit { discarded: len };
-                        }
-                        let mut line = &self.buf[start..];
-                        if line.last() == Some(&b'\r') {
-                            line = &line[..line.len() - 1];
-                        }
-                        return match std::str::from_utf8(line) {
-                            Ok(s) => LineEvent::Line(s.to_owned()),
-                            Err(_) => LineEvent::NotUtf8,
-                        };
-                    }
-                    return LineEvent::Eof;
                 }
                 Ok(n) => self.buf.extend_from_slice(&chunk[..n]),
                 Err(e) => match e.kind() {

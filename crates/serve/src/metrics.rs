@@ -208,12 +208,12 @@ impl ServeMetrics {
     }
 
     /// Records one finished request: latency into the op's histogram,
-    /// plus the request/error totals. `started` comes from
+    /// plus the request/error totals. `elapsed` is measured from
     /// [`Self::timer`]; a `None` (disabled registry) records nothing.
     #[inline]
-    pub fn record_op(&self, op: &str, started: Option<Instant>, ok: bool) {
-        let Some(started) = started else { return };
-        self.ops[Self::op_index(op)].record_duration(started.elapsed());
+    pub fn record_op(&self, op: &str, elapsed: Option<Duration>, ok: bool) {
+        let Some(elapsed) = elapsed else { return };
+        self.ops[Self::op_index(op)].record_duration(elapsed);
         self.requests.inc();
         if !ok {
             self.errors.inc();
@@ -675,8 +675,8 @@ mod tests {
         let m = ServeMetrics::new();
         let t = m.timer();
         assert!(t.is_some());
-        m.record_op("membership", t, true);
-        m.record_op("nonsense", m.timer(), false);
+        m.record_op("membership", t.map(|t| t.elapsed()), true);
+        m.record_op("nonsense", m.timer().map(|t| t.elapsed()), false);
         m.record_wal_append(Duration::from_micros(120));
         m.set_wal_records(3);
         m.record_wal_recovery(2, 1, 17);
@@ -730,7 +730,7 @@ mod tests {
     fn disabled_registry_records_nothing() {
         let m = ServeMetrics::disabled();
         assert!(m.timer().is_none());
-        m.record_op("membership", m.timer(), true);
+        m.record_op("membership", m.timer().map(|t| t.elapsed()), true);
         m.record_wal_append(Duration::from_micros(50));
         let body = m.to_json();
         assert_eq!(

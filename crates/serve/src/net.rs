@@ -5,9 +5,10 @@
 //! [`NetServer`]: one accept thread, one handler thread per connection
 //! (connection handlers block on socket reads, so the fixed-size compute
 //! [`WorkerPool`](genclus_core::pool::WorkerPool) is the wrong shape —
-//! a blocked handler would starve compute), and the same wire protocol as
-//! the stdio loop, one JSON response line per JSON request line, in
-//! request order per connection.
+//! a blocked handler would starve compute). Each connection is one
+//! session ([`crate::session`]): the same loop, router and wire protocol
+//! as the binary's stdio mode, one JSON response line per JSON request
+//! line, in request order per connection.
 //!
 //! # Shared-read / exclusive-write
 //!
@@ -16,12 +17,12 @@
 //!
 //! * **Reads are lock-free against a published snapshot.** The
 //!   [`QueryEngine`](crate::engine::QueryEngine) holds its read-only
-//!   [`QueryCore`] in an `Arc`; [`Published`] is the swap point — an
-//!   atomic generation counter plus a slot holding the current
-//!   `Arc<QueryCore>`. Each connection keeps a [`PinnedCore`]: per
-//!   request it loads the generation (one `Acquire` load — the steady
-//!   state), and only when the generation moved does it take the slot
-//!   lock once to re-clone the `Arc`. Readers therefore never contend
+//!   [`QueryCore`] in an `Arc`; the server's published slot is the swap
+//!   point — an atomic generation counter plus a slot holding the current
+//!   `Arc<QueryCore>`. Each connection pins a core: per batch it loads
+//!   the generation (one `Acquire` load — the steady state), and only
+//!   when the generation moved does it take the slot lock once to
+//!   re-clone the `Arc`. Readers therefore never contend
 //!   with each other, and a snapshot swap costs each connection one
 //!   mutex hit total, not one per request.
 //! * **Mutations serialize through one lane.** Each line is parsed once
@@ -29,7 +30,7 @@
 //!   `commit`ed fold-ins, `refresh`/`refresh_status`, and `stats`
 //!   (read-only, but answered by the refresh layer so WAL fields stay
 //!   visible) — go through a `Mutex<RefreshableEngine>`, the same
-//!   single-writer discipline the stdio loop has implicitly. The WAL
+//!   single writer a stdio session owns outright. The WAL
 //!   append+fsync happens inside the lane *before* the ack leaves it, so the
 //!   *ack ⇒ replayable* contract of the durability layer holds verbatim
 //!   under concurrency. After every lane call the (possibly refreshed)
@@ -50,36 +51,34 @@
 //!
 //! # Admission, batching, limits
 //!
-//! * Request lines are read through the crate-wide
-//!   [`CappedLineReader`] — a line over `--max-request-bytes` gets a
-//!   structured `BadRequest` and then the connection closes (a peer that
-//!   overflows the cap once is not negotiating in good faith; the stdio
-//!   loop answers the error and keeps going).
-//! * Pipelined requests already buffered on a connection are coalesced
-//!   into one batch (up to the configured batch size) and answered with
-//!   a single write+flush, amortizing the syscalls without adding
-//!   latency for lone requests.
+//! * Batching, the byte cap and blank lines follow the session rules:
+//!   the complete lines a peer already pipelined are coalesced into one
+//!   batch (up to the configured batch size) and answered with a single
+//!   write+flush, and a blank line is answered with nothing.
+//! * A line over `--max-request-bytes` gets a structured `BadRequest` and
+//!   then the connection closes — a peer that overflows the cap once is
+//!   not negotiating in good faith.
 //! * At `max_connections` concurrent connections, new arrivals get one
 //!   structured error line and are closed (counted in `net.rejected`).
 //! * A write error on one connection (EPIPE and friends) closes *that*
 //!   connection — logged, counted in `net.write_errors`, every other
-//!   connection keeps serving. Only the stdio stream retains the
-//!   quiesce-and-exit semantics, because losing stdout means losing the
-//!   only client.
+//!   connection keeps serving. Only a stdio session quiesces the process
+//!   on a write error, because losing stdout means losing the only
+//!   client.
 
 use crate::engine::QueryCore;
-use crate::json::Json;
-use crate::lines::{CappedLineReader, LineEvent};
+use crate::lines::CappedLineReader;
 use crate::metrics::ServeMetrics;
 use crate::refresh::RefreshableEngine;
-use crate::request::{invalid_utf8_response, over_limit_response, respond, Body, Request};
+use crate::request::{respond, Body, Request};
+use crate::session::{self, End, Lane};
 use genclus_obs::log;
 use std::io::Write;
 use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 use std::thread::JoinHandle;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 /// Front-end knobs; all have serving-grade defaults.
 #[derive(Debug, Clone)]
@@ -108,104 +107,80 @@ impl Default for NetConfig {
     }
 }
 
-/// The atomically swappable read handle: the current `Arc<QueryCore>`
-/// plus a generation counter that lets readers detect a swap with one
-/// atomic load.
-struct Published {
-    gen: AtomicU64,
-    slot: Mutex<Arc<QueryCore>>,
-}
-
-impl Published {
-    fn new(core: Arc<QueryCore>) -> Self {
-        Self {
-            gen: AtomicU64::new(1),
-            slot: Mutex::new(core),
-        }
-    }
-
-    /// Publishes `core` if it differs from the current one. Publishers
-    /// bump the generation under the slot lock, so generation order is
-    /// publication order.
-    fn publish(&self, core: &Arc<QueryCore>) {
-        // Poison recovery (here and in the two pin paths below): the slot
-        // only ever holds a complete Arc, so a poisoned lock still yields
-        // a servable core — a panicked publisher must not take down every
-        // connection that later pins.
-        let mut slot = self.slot.lock().unwrap_or_else(|p| p.into_inner());
-        if !Arc::ptr_eq(&slot, core) {
-            *slot = Arc::clone(core);
-            self.gen.fetch_add(1, Ordering::Release);
-        }
-    }
-}
-
-/// A connection's cached view of [`Published`]. The steady-state read
-/// path is one `Acquire` load; the slot mutex is touched only on the
-/// request right after a swap.
-struct PinnedCore {
-    core: Arc<QueryCore>,
-    seen: u64,
-}
-
-impl PinnedCore {
-    fn new(published: &Published) -> Self {
-        let slot = published.slot.lock().unwrap_or_else(|p| p.into_inner());
-        Self {
-            core: Arc::clone(&slot),
-            seen: published.gen.load(Ordering::Acquire),
-        }
-    }
-
-    /// Re-pins to the latest published core iff the generation moved.
-    fn refresh(&mut self, published: &Published) {
-        if published.gen.load(Ordering::Acquire) != self.seen {
-            let slot = published.slot.lock().unwrap_or_else(|p| p.into_inner());
-            self.core = Arc::clone(&slot);
-            // Re-read under the lock: publishers bump while holding it,
-            // so this pairs the generation with exactly this core.
-            self.seen = published.gen.load(Ordering::Acquire);
-        }
-    }
-}
-
 /// State shared by the accept loop and every connection handler.
 struct Shared {
     lane: Mutex<RefreshableEngine>,
-    published: Published,
+    /// The published read core: the atomically swappable
+    /// `Arc<QueryCore>`, plus a generation counter that lets readers
+    /// detect a swap with one atomic load.
+    slot: Mutex<Arc<QueryCore>>,
+    gen: AtomicU64,
     metrics: Arc<ServeMetrics>,
     cfg: NetConfig,
     shutdown: AtomicBool,
 }
 
 impl Shared {
-    /// Opportunistic idle-tick work: land a finished background re-fit
-    /// and publish the current core, but never block behind the lane —
-    /// whoever holds it will publish on release.
-    fn housekeep(&self) {
-        if let Ok(mut lane) = self.lane.try_lock() {
-            lane.poll_refresh();
-            self.published.publish(&lane.engine().core_shared());
+    /// Publishes `lane`'s core if it differs from the current one.
+    /// Publishers bump the generation under the slot lock, so generation
+    /// order is publication order.
+    fn publish(&self, lane: &RefreshableEngine) {
+        // Poison recovery (here and in the two pin paths below): the slot
+        // only ever holds a complete Arc, so a poisoned lock still yields
+        // a servable core — a panicked publisher must not take down every
+        // connection that later pins.
+        let mut slot = self.slot.lock().unwrap_or_else(|p| p.into_inner());
+        let core = lane.engine().core_shared();
+        if !Arc::ptr_eq(&slot, &core) {
+            *slot = core;
+            self.gen.fetch_add(1, Ordering::Release);
         }
     }
+}
 
-    /// Routes one request line: lane requests through the lane (landing
-    /// a finished re-fit first, and publishing the possibly-swapped core
-    /// before the lane is released), everything else against the
-    /// connection's pinned core.
-    fn handle_request(&self, pinned: &mut PinnedCore, line: &str) -> String {
-        let started = self.metrics.timer();
-        let parsed = Json::parse(line);
-        let req = Request::decode(&parsed);
-        if !req.takes_lane() {
-            pinned.refresh(&self.published);
-            return pinned.core.answer(&req, started);
+/// One connection's lane: the core it answers reads from, pinned from
+/// the published slot, and the shared mutation lane.
+struct Conn<'a> {
+    shared: &'a Shared,
+    core: Arc<QueryCore>,
+    /// The publish generation `core` was pinned at (0 before the first
+    /// pin; generations start at 1).
+    seen: u64,
+}
+
+impl Lane for Conn<'_> {
+    /// Re-pins to the latest published core iff the generation moved: the
+    /// steady state is one `Acquire` load, and the slot mutex is touched
+    /// only on the batch right after a swap.
+    fn repin(&mut self) -> u64 {
+        let shared = self.shared;
+        if shared.gen.load(Ordering::Acquire) != self.seen {
+            let slot = shared.slot.lock().unwrap_or_else(|p| p.into_inner());
+            self.core = Arc::clone(&slot);
+            // Re-read under the lock: publishers bump while holding it,
+            // so this pairs the generation with exactly this core.
+            self.seen = shared.gen.load(Ordering::Acquire);
         }
-        match self.lane.lock() {
+        self.seen
+    }
+
+    fn core(&self) -> &QueryCore {
+        &self.core
+    }
+
+    /// Serially on the connection thread: the worker pool belongs to the
+    /// engine behind the lane, and a read never waits on the lane.
+    fn map<T: Sync, R: Send>(&self, items: &[T], f: impl Fn(&T) -> R + Sync) -> Vec<R> {
+        items.iter().map(f).collect()
+    }
+
+    /// Through the lane, publishing the possibly-swapped core before the
+    /// lane is released.
+    fn answer(&mut self, req: &Request<'_>, started: Option<Instant>) -> String {
+        match self.shared.lane.lock() {
             Ok(mut lane) => {
-                lane.poll_refresh();
-                let response = lane.answer(&req, self.metrics.timer());
-                self.published.publish(&lane.engine().core_shared());
+                let response = lane.answer(req, started);
+                self.shared.publish(&lane);
                 response
             }
             Err(_) => respond(
@@ -213,7 +188,21 @@ impl Shared {
                 "other",
                 Err::<Body, _>("mutation lane poisoned by an earlier panic; restart the server"),
             )
-            .record(&self.metrics, started),
+            .record(&self.shared.metrics, started),
+        }
+    }
+
+    fn open(&self) -> bool {
+        !self.shared.shutdown.load(Ordering::Acquire)
+    }
+
+    /// Lands a finished background re-fit and publishes the current core,
+    /// but never blocks behind the lane — whoever holds it publishes on
+    /// release.
+    fn idle(&mut self) {
+        if let Ok(mut lane) = self.shared.lane.try_lock() {
+            lane.poll_refresh();
+            self.shared.publish(&lane);
         }
     }
 }
@@ -238,10 +227,10 @@ impl NetServer {
         let listener = TcpListener::bind(addr)?;
         let local_addr = listener.local_addr()?;
         let metrics = engine.engine().metrics().clone();
-        let published = Published::new(engine.engine().core_shared());
         let shared = Arc::new(Shared {
+            slot: Mutex::new(engine.engine().core_shared()),
+            gen: AtomicU64::new(1),
             lane: Mutex::new(engine),
-            published,
             metrics,
             cfg,
             shutdown: AtomicBool::new(false),
@@ -309,7 +298,7 @@ fn accept_loop(shared: &Arc<Shared>, listener: TcpListener) -> Vec<JoinHandle<()
         conns.retain(|c| !c.is_finished());
         if conns.len() >= shared.cfg.max_connections {
             shared.metrics.record_conn_rejected();
-            reject(stream, shared.cfg.max_connections);
+            reject(stream, shared);
             continue;
         }
         shared.metrics.record_conn_accepted();
@@ -317,7 +306,7 @@ fn accept_loop(shared: &Arc<Shared>, listener: TcpListener) -> Vec<JoinHandle<()
         match std::thread::Builder::new()
             .name("genclus-conn".into())
             .spawn(move || {
-                serve_connection(&conn_shared, stream);
+                serve(&conn_shared, stream);
                 conn_shared.metrics.record_conn_closed();
             }) {
             Ok(handle) => conns.push(handle),
@@ -332,105 +321,52 @@ fn accept_loop(shared: &Arc<Shared>, listener: TcpListener) -> Vec<JoinHandle<()
 
 /// One error line, best effort, then drop — what an over-capacity
 /// arrival sees.
-fn reject(mut stream: TcpStream, cap: usize) {
-    let line = Json::obj(vec![
-        ("ok", Json::Bool(false)),
-        (
-            "error",
-            Json::str(format!("server at connection capacity ({cap})")),
-        ),
-    ])
-    .render();
-    let _ = stream.write_all(line.as_bytes());
-    let _ = stream.write_all(b"\n");
+fn reject(mut stream: TcpStream, shared: &Shared) {
+    let message = format!(
+        "server at connection capacity ({})",
+        shared.cfg.max_connections
+    );
+    let line = respond(None, "other", Err::<Body, _>(message)).record(&shared.metrics, None);
+    let _ = stream.write_all(format!("{line}\n").as_bytes());
 }
 
-/// The per-connection loop: read (bounded), batch, answer, contain.
-fn serve_connection(shared: &Shared, stream: TcpStream) {
+/// One connection: a session until it ends, then close. Every end closes
+/// only this connection; a write error (the client vanished) is counted.
+fn serve(shared: &Shared, mut stream: TcpStream) {
     let peer = stream
         .peer_addr()
-        .map(|a| a.to_string())
-        .unwrap_or_else(|_| "<unknown>".into());
+        .map_or_else(|_| "<unknown>".into(), |a| a.to_string());
     let _ = stream.set_nodelay(true);
-    if stream.set_read_timeout(Some(shared.cfg.tick)).is_err() {
-        return;
-    }
-    let reader_half = match stream.try_clone() {
-        Ok(s) => s,
+    let reader = match stream
+        .set_read_timeout(Some(shared.cfg.tick))
+        .and_then(|()| stream.try_clone())
+    {
+        Ok(reader) => reader,
         Err(e) => {
-            log::warn(format!("{peer}: cloning stream failed: {e}"));
+            log::warn(format!("{peer}: setting up the connection failed: {e}"));
             return;
         }
     };
-    let mut reader = CappedLineReader::new(reader_half, shared.cfg.max_request_bytes);
-    let mut writer = stream;
-    let mut pinned = PinnedCore::new(&shared.published);
-    let mut out = String::new();
-    loop {
-        if shared.shutdown.load(Ordering::Acquire) {
-            return;
-        }
-        let first = match reader.next_event() {
-            LineEvent::Idle => {
-                shared.housekeep();
-                continue;
-            }
-            LineEvent::Eof => return,
-            LineEvent::Err(e) => {
-                log::warn(format!("{peer}: read failed: {e}"));
-                return;
-            }
-            event => event,
-        };
-        // Coalesce whatever complete lines the peer already pipelined
-        // into one batch → one write+flush.
-        let mut events = vec![first];
-        while events.len() < shared.cfg.batch {
-            match reader.next_buffered() {
-                Some(event) => events.push(event),
-                None => break,
-            }
-        }
-        out.clear();
-        let mut close_after_write = false;
-        for event in events {
-            match event {
-                LineEvent::Line(line) => {
-                    out.push_str(&shared.handle_request(&mut pinned, &line));
-                }
-                LineEvent::OverLimit { discarded } => {
-                    shared.metrics.record_over_limit();
-                    out.push_str(&over_limit_response(
-                        &shared.metrics,
-                        discarded,
-                        shared.cfg.max_request_bytes,
-                    ));
-                    close_after_write = true;
-                }
-                LineEvent::NotUtf8 => out.push_str(&invalid_utf8_response(&shared.metrics)),
-                // Idle/Eof/Err never reach the batch (handled above and
-                // never produced by `next_buffered`).
-                LineEvent::Idle | LineEvent::Eof | LineEvent::Err(_) => {}
-            }
-            out.push('\n');
-            if close_after_write {
-                break;
-            }
-        }
-        if let Err(e) = writer
-            .write_all(out.as_bytes())
-            .and_then(|()| writer.flush())
-        {
-            // THE containment point: one client's broken pipe is that
-            // client's problem. Log, count, close this connection; the
-            // process and every other connection keep serving.
+    let mut reader = CappedLineReader::new(reader, shared.cfg.max_request_bytes);
+    let core = Arc::clone(&shared.slot.lock().unwrap_or_else(|p| p.into_inner()));
+    let mut conn = Conn {
+        shared,
+        core,
+        seen: 0,
+    };
+    match session::run(
+        &mut reader,
+        &mut stream,
+        &mut conn,
+        &shared.metrics,
+        &shared.cfg,
+    ) {
+        End::Eof | End::Shutdown => {}
+        End::ReadError(e) => log::warn(format!("{peer}: read failed: {e}")),
+        End::WriteError(e) => {
             log::warn(format!("{peer}: write failed, closing: {e}"));
             shared.metrics.record_net_write_error();
-            return;
         }
-        if close_after_write {
-            log::warn(format!("{peer}: over-limit request, closing"));
-            return;
-        }
+        End::OverLimit => log::warn(format!("{peer}: over-limit request, closing")),
     }
 }

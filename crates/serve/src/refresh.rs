@@ -114,19 +114,20 @@
 //! alongside the `"wal_records"` count.
 
 use crate::background::{RefitInput, RefitOutput, RefitWorker};
-use crate::engine::QueryEngine;
+use crate::engine::{QueryCore, QueryEngine};
 use crate::error::ServeError;
 use crate::foldin::{FoldInEngine, FoldInRequest, FoldInResult};
 use crate::json::Json;
 use crate::metrics::RefreshSpan;
 use crate::request::{Body, Commit, Op, Request};
+use crate::session::{route, Lane};
 use crate::snapshot::Snapshot;
 use crate::wal::{CommitRecord, Wal, WalRecoveryReport};
 use genclus_core::{GenClusConfig, GenClusModel};
 use genclus_hin::{GraphDelta, HinError, ObjectId, ObjectTypeId, RelationId};
 use genclus_stats::MembershipMatrix;
 use std::path::{Path, PathBuf};
-use std::time::{Duration, Instant};
+use std::time::Instant;
 
 /// When and how the engine re-fits from its snapshot.
 #[derive(Debug, Clone)]
@@ -1098,63 +1099,25 @@ impl RefreshableEngine {
         self.pending.records.extend(next.records);
     }
 
-    /// One request line → one response line, commit/refresh aware. A
-    /// finished background re-fit is swapped in first, so the response is
-    /// produced under exactly one snapshot.
+    /// One request line → one response line, commit/refresh aware: a
+    /// batch of one ([`Self::handle_batch`]).
     pub fn handle_line(&mut self, line: &str) -> String {
-        self.poll_refresh();
-        let started = self.engine.metrics().timer();
-        let parsed = Json::parse(line);
-        self.answer(&Request::decode(&parsed), started)
+        self.handle_batch(&[line.to_owned()])
+            .pop()
+            .unwrap_or_default()
     }
 
-    /// Handles a batch, preserving order. Every line is parsed on the
-    /// worker pool, and the reads are answered there too, from the engine
-    /// serving when the batch starts; the lane requests then run here in
-    /// stream order. A read behind a lane request that swapped the engine
-    /// is answered again here, so the responses reflect one consistent
-    /// interleaving.
+    /// Handles a batch, preserving order, through the router every
+    /// session uses ([`crate::session`]): every line is parsed on the worker
+    /// pool, and the reads are answered there too, from the engine serving
+    /// when the batch starts; the lane requests then run here in stream
+    /// order, and a read behind a lane request that swapped the engine is
+    /// answered again.
     pub fn handle_batch(&mut self, lines: &[String]) -> Vec<String> {
-        self.poll_refresh();
         let metrics = self.engine.metrics().clone();
-        let core = self.engine.core_shared();
-        let pre = self.engine.par_map(lines, |line| {
-            let started = metrics.timer();
-            let json = Json::parse(line);
-            let req = Request::decode(&json);
-            let read = req
-                .reads_core_only()
-                .then(|| req.render(|op| core.execute(op)));
-            (json, read, started.map(|t| t.elapsed()))
-        });
-        // Latencies are recorded here, in stream order; a request's is its
-        // own parse and answer time, not the batch's wait.
-        let since = |elapsed: Option<Duration>| elapsed.and_then(|d| Instant::now().checked_sub(d));
-        pre.into_iter()
-            .map(|(json, read, elapsed)| match read {
-                Some(read) if std::ptr::eq(&*core, self.engine.core()) => {
-                    read.record(&metrics, since(elapsed))
-                }
-                _ => self.answer(&Request::decode(&json), since(elapsed)),
-            })
-            .collect()
-    }
-
-    /// Answers a decoded request: the lane ops here, every other op from
-    /// the current engine's core.
-    pub(crate) fn answer(&mut self, req: &Request<'_>, started: Option<Instant>) -> String {
-        // Cloned up front: a refresh may swap `self.engine`, but the
-        // replacement is wired to the same registry, so timing against the
-        // pre-swap Arc records into the same histograms.
-        let metrics = self.engine.metrics().clone();
-        req.render(|op| match op {
-            Op::Commit(commit) => self.op_commit(commit),
-            Op::Stats => self.op_stats(),
-            Op::Refresh => self.op_refresh(),
-            Op::RefreshStatus { wait } => self.op_refresh_status(*wait),
-            read => self.engine.core().execute(read),
-        })
-        .record(&metrics, started)
+        let mut responses = Vec::with_capacity(lines.len());
+        route(self, &metrics, lines, |response| responses.push(response));
+        responses
     }
 
     /// The inner engine's `stats` body extended with the WAL state only
@@ -1378,6 +1341,43 @@ impl RefreshableEngine {
         fields.push(("pending_objects", Json::Num(self.pending_objects() as f64)));
         fields.push(("pending_links", Json::Num(self.pending_links() as f64)));
         Ok(fields)
+    }
+}
+
+/// The lane of [`RefreshableEngine::handle_batch`] and the stdio session:
+/// reads run on the engine's worker pool against its own core, which
+/// moves only when a re-fit lands.
+impl Lane for RefreshableEngine {
+    fn repin(&mut self) -> u64 {
+        self.poll_refresh();
+        self.refreshes as u64
+    }
+
+    fn core(&self) -> &QueryCore {
+        self.engine.core()
+    }
+
+    fn map<T: Sync, R: Send>(&self, items: &[T], f: impl Fn(&T) -> R + Sync) -> Vec<R> {
+        self.engine.par_map(items, f)
+    }
+
+    /// Answers a decoded request — the lane ops here, every other op from
+    /// the current engine's core — after landing a finished re-fit, so
+    /// the response is produced under exactly one snapshot.
+    fn answer(&mut self, req: &Request<'_>, started: Option<Instant>) -> String {
+        self.poll_refresh();
+        // Cloned up front: a refresh may swap `self.engine`, but the
+        // replacement is wired to the same registry, so timing against the
+        // pre-swap Arc records into the same histograms.
+        let metrics = self.engine.metrics().clone();
+        req.render(|op| match op {
+            Op::Commit(commit) => self.op_commit(commit),
+            Op::Stats => self.op_stats(),
+            Op::Refresh => self.op_refresh(),
+            Op::RefreshStatus { wait } => self.op_refresh_status(*wait),
+            read => self.engine.core().execute(read),
+        })
+        .record(&metrics, started)
     }
 }
 

@@ -27,7 +27,7 @@ use crate::json::{render_obj, Json};
 use crate::metrics::ServeMetrics;
 use genclus_core::Similarity;
 use std::fmt::Display;
-use std::time::Instant;
+use std::time::{Duration, Instant};
 
 /// The fields of a successful response, after `"ok":true`.
 pub(crate) type Body = Vec<(&'static str, Json)>;
@@ -201,7 +201,12 @@ pub(crate) struct Rendered {
 impl Rendered {
     /// Records the op's latency since `started` and returns the line.
     pub fn record(self, metrics: &ServeMetrics, started: Option<Instant>) -> String {
-        metrics.record_op(self.label, started, self.ok);
+        self.record_elapsed(metrics, started.map(|t| t.elapsed()))
+    }
+
+    /// [`Self::record`] with the latency already measured.
+    pub fn record_elapsed(self, metrics: &ServeMetrics, elapsed: Option<Duration>) -> String {
+        metrics.record_op(self.label, elapsed, self.ok);
         self.text
     }
 }
@@ -274,27 +279,4 @@ pub(crate) fn respond<E: Display>(
         label,
         ok,
     }
-}
-
-/// The structured `BadRequest` for a request line over the byte cap. The
-/// stdio loop answers it and continues; the TCP front-end answers it and
-/// closes the connection. Callers count the event into `net.over_limit`.
-pub fn over_limit_response(metrics: &ServeMetrics, discarded: usize, max: usize) -> String {
-    bad_line(
-        metrics,
-        format!(
-            "request line of {discarded} bytes exceeds the {max}-byte limit (--max-request-bytes)"
-        ),
-    )
-}
-
-/// The structured error for a request line that is not valid UTF-8.
-pub fn invalid_utf8_response(metrics: &ServeMetrics) -> String {
-    bad_line(metrics, "request line is not valid UTF-8".into())
-}
-
-/// A transport-level `BadRequest` (no id), recorded as an `other` op.
-fn bad_line(metrics: &ServeMetrics, message: String) -> String {
-    let error = ServeError::BadRequest(message);
-    respond(None, "other", Err::<Body, _>(error)).record(metrics, metrics.timer())
 }

@@ -66,6 +66,7 @@ struct Client {
 impl Client {
     fn connect(addr: SocketAddr) -> Self {
         let stream = TcpStream::connect(addr).expect("connect");
+        stream.set_nodelay(true).unwrap();
         stream
             .set_read_timeout(Some(Duration::from_secs(60)))
             .unwrap();

@@ -130,6 +130,7 @@ struct Client {
 impl Client {
     fn connect(addr: SocketAddr) -> Self {
         let stream = TcpStream::connect(addr).expect("connect");
+        stream.set_nodelay(true).unwrap();
         stream
             .set_read_timeout(Some(Duration::from_secs(60)))
             .unwrap();
@@ -182,6 +183,12 @@ fn tcp_sigkill_drill_replays_every_acked_commit() {
         committer.ok(&format!(
             r#"{{"op":"fold_in","links":[["nn","s3",1.0]],"commit":"{name}"}}"#
         ));
+        if name == "k1" {
+            // Land the first re-fit before k2: otherwise k2..k4 can all
+            // stage behind it and chain into one re-fit, leaving nothing
+            // staged to replay.
+            committer.ok(r#"{"op":"refresh_status","wait":true}"#);
+        }
     }
     for r in readers {
         r.join().expect("reader client");
