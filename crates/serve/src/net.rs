@@ -125,16 +125,24 @@ impl Shared {
     /// Publishers bump the generation under the slot lock, so generation
     /// order is publication order.
     fn publish(&self, lane: &RefreshableEngine) {
-        // Poison recovery (here and in the two pin paths below): the slot
-        // only ever holds a complete Arc, so a poisoned lock still yields
-        // a servable core — a panicked publisher must not take down every
-        // connection that later pins.
+        // Poison recovery (here and in `pin`): the slot only ever holds a
+        // complete Arc, so a poisoned lock still yields a servable core — a
+        // panicked publisher must not take down every connection that later
+        // pins.
         let mut slot = self.slot.lock().unwrap_or_else(|p| p.into_inner());
         let core = lane.engine().core_shared();
         if !Arc::ptr_eq(&slot, &core) {
             *slot = core;
             self.gen.fetch_add(1, Ordering::Release);
         }
+    }
+
+    /// The published core and its generation. Read under the slot lock:
+    /// publishers bump the generation while holding it, so this pairs the
+    /// generation with exactly this core.
+    fn pin(&self) -> (Arc<QueryCore>, u64) {
+        let slot = self.slot.lock().unwrap_or_else(|p| p.into_inner());
+        (Arc::clone(&slot), self.gen.load(Ordering::Acquire))
     }
 }
 
@@ -143,8 +151,7 @@ impl Shared {
 struct Conn<'a> {
     shared: &'a Shared,
     core: Arc<QueryCore>,
-    /// The publish generation `core` was pinned at (0 before the first
-    /// pin; generations start at 1).
+    /// The publish generation `core` was pinned at.
     seen: u64,
 }
 
@@ -153,13 +160,8 @@ impl Lane for Conn<'_> {
     /// steady state is one `Acquire` load, and the slot mutex is touched
     /// only on the batch right after a swap.
     fn repin(&mut self) -> u64 {
-        let shared = self.shared;
-        if shared.gen.load(Ordering::Acquire) != self.seen {
-            let slot = shared.slot.lock().unwrap_or_else(|p| p.into_inner());
-            self.core = Arc::clone(&slot);
-            // Re-read under the lock: publishers bump while holding it,
-            // so this pairs the generation with exactly this core.
-            self.seen = shared.gen.load(Ordering::Acquire);
+        if self.shared.gen.load(Ordering::Acquire) != self.seen {
+            (self.core, self.seen) = self.shared.pin();
         }
         self.seen
     }
@@ -213,7 +215,7 @@ impl Lane for Conn<'_> {
 pub struct NetServer {
     local_addr: SocketAddr,
     shared: Arc<Shared>,
-    accept: Option<JoinHandle<Vec<JoinHandle<()>>>>,
+    accept: JoinHandle<()>,
 }
 
 impl NetServer {
@@ -243,7 +245,7 @@ impl NetServer {
         Ok(Self {
             local_addr,
             shared,
-            accept: Some(accept),
+            accept,
         })
     }
 
@@ -256,20 +258,14 @@ impl NetServer {
     /// streamers finish their current batches; idle connections notice
     /// within one tick), and returns the engine so the caller can
     /// quiesce it (drain the in-flight re-fit, final metrics dump).
-    pub fn shutdown(mut self) -> RefreshableEngine {
+    pub fn shutdown(self) -> RefreshableEngine {
         self.shared.shutdown.store(true, Ordering::Release);
         // The accept loop blocks in `accept`; a throwaway connection
         // wakes it to observe the flag.
         let _ = TcpStream::connect(self.local_addr);
-        if let Some(accept) = self.accept.take() {
-            match accept.join() {
-                Ok(conns) => {
-                    for conn in conns {
-                        let _ = conn.join();
-                    }
-                }
-                Err(_) => log::warn("accept thread panicked"),
-            }
+        // The accept thread joins every connection thread before it ends.
+        if self.accept.join().is_err() {
+            log::warn("a server thread panicked");
         }
         let shared = Arc::try_unwrap(self.shared)
             // lint: allow(no-panic-in-serve) -- shutdown-only invariant: every server thread was just joined, so a surviving Arc handle is a programming error and there is no engine to hand back
@@ -281,42 +277,39 @@ impl NetServer {
     }
 }
 
-/// Accepts until shutdown; returns the connection handles for draining.
-fn accept_loop(shared: &Arc<Shared>, listener: TcpListener) -> Vec<JoinHandle<()>> {
-    let mut conns: Vec<JoinHandle<()>> = Vec::new();
-    for stream in listener.incoming() {
-        if shared.shutdown.load(Ordering::Acquire) {
-            break;
-        }
-        let stream = match stream {
-            Ok(s) => s,
-            Err(e) => {
-                log::warn(format!("accept failed: {e}"));
+/// Accepts until shutdown, one scoped thread per connection; returns once
+/// every connection thread has ended.
+fn accept_loop(shared: &Shared, listener: TcpListener) {
+    std::thread::scope(|scope| {
+        for stream in listener.incoming() {
+            if shared.shutdown.load(Ordering::Acquire) {
+                break;
+            }
+            let stream = match stream {
+                Ok(s) => s,
+                Err(e) => {
+                    log::warn(format!("accept failed: {e}"));
+                    continue;
+                }
+            };
+            if shared.metrics.active_connections() >= shared.cfg.max_connections as u64 {
+                shared.metrics.record_conn_rejected();
+                reject(stream, shared);
                 continue;
             }
-        };
-        conns.retain(|c| !c.is_finished());
-        if conns.len() >= shared.cfg.max_connections {
-            shared.metrics.record_conn_rejected();
-            reject(stream, shared);
-            continue;
-        }
-        shared.metrics.record_conn_accepted();
-        let conn_shared = Arc::clone(shared);
-        match std::thread::Builder::new()
-            .name("genclus-conn".into())
-            .spawn(move || {
-                serve(&conn_shared, stream);
-                conn_shared.metrics.record_conn_closed();
-            }) {
-            Ok(handle) => conns.push(handle),
-            Err(e) => {
+            shared.metrics.record_conn_accepted();
+            let spawned = std::thread::Builder::new()
+                .name("genclus-conn".into())
+                .spawn_scoped(scope, move || {
+                    serve(shared, stream);
+                    shared.metrics.record_conn_closed();
+                });
+            if let Err(e) = spawned {
                 log::warn(format!("spawning connection handler failed: {e}"));
                 shared.metrics.record_conn_closed();
             }
         }
-    }
-    conns
+    });
 }
 
 /// One error line, best effort, then drop — what an over-capacity
@@ -348,12 +341,8 @@ fn serve(shared: &Shared, mut stream: TcpStream) {
         }
     };
     let mut reader = CappedLineReader::new(reader, shared.cfg.max_request_bytes);
-    let core = Arc::clone(&shared.slot.lock().unwrap_or_else(|p| p.into_inner()));
-    let mut conn = Conn {
-        shared,
-        core,
-        seen: 0,
-    };
+    let (core, seen) = shared.pin();
+    let mut conn = Conn { shared, core, seen };
     match session::run(
         &mut reader,
         &mut stream,
