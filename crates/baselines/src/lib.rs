@@ -11,7 +11,7 @@
 //! * [`itopicmodel`] — iTopicModel (Sun et al., ICDM 2009): PLSA whose
 //!   membership update mixes neighbor memberships into the multinomial
 //!   counts (a Markov-random-field prior on the document network);
-//! * [`kmeans`] — Lloyd's k-means with k-means++ seeding, the attribute-only
+//! * [`kmeans`](mod@kmeans) — Lloyd's k-means with k-means++ seeding, the attribute-only
 //!   baseline of Figs. 7–8;
 //! * [`interpolate`] — the neighbor-mean interpolation the paper applies so
 //!   that k-means and spectral clustering can run on sensors with

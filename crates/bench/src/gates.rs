@@ -787,9 +787,9 @@ impl RefreshFixture {
     /// like the serving layer's refresh queue: fold-in rows under the
     /// frozen model (staged rows addressable, so staged→staged links fold
     /// in), the topology in a `GraphDelta`. The growth covers every link
-    /// class the overflow adjacency accepts: new→old (the classic fold-in
-    /// links), **old→new** (each arrival is also linked *from* one of its
-    /// existing targets, so the old source's overflow segment grows) and
+    /// class `append` merges: new→old (the classic fold-in links),
+    /// **old→new** (each arrival is also linked *from* one of its existing
+    /// targets, so the old source's out-link segment grows) and
     /// **staged→staged** (arrivals after the first link to an earlier
     /// arrival of the same ring).
     pub fn build(quick: bool) -> Self {
@@ -916,12 +916,14 @@ impl RefreshFixture {
             .map(|i| fit.model.theta.row(i).to_vec())
             .collect();
         rows.extend(staged_rows);
+        assert!(
+            delta
+                .staged_links()
+                .any(|(src, ..)| src.index() < delta.base_objects()),
+            "the grow workload must exercise old-source links"
+        );
         let mut graph = net.graph.clone();
         graph.append(delta).expect("append succeeds");
-        assert!(
-            graph.has_overflow(),
-            "the grow workload must exercise old-source overflow links"
-        );
         let warm = GenClusModel {
             theta: MembershipMatrix::from_rows(&rows, K),
             gamma: fit.model.gamma.clone(),

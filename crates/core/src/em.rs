@@ -28,7 +28,7 @@
 //!   what makes the pass embarrassingly parallel and makes the result
 //!   independent of both object order and thread count.
 //! * **Chunk determinism.** Workers claim fixed-size row chunks
-//!   ([`crate::pool::CHUNK`], independent of the thread count) and each
+//!   (`crate::pool::CHUNK`, independent of the thread count) and each
 //!   row's arithmetic is identical in serial and parallel mode, so `Θ` is
 //!   bit-for-bit the same for every thread count. Each chunk accumulates its
 //!   own `β` statistics, and the chunk partials are merged in chunk order,
@@ -36,11 +36,11 @@
 //!   (`fits_are_bit_identical_across_thread_counts` in `algorithm.rs`).
 //! * **Log-table caching.** The inner loop evaluates **zero `ln` calls**:
 //!   `ln β` lives in a table inside
-//!   [`CategoricalComponents`](crate::attr_model::CategoricalComponents)
+//!   [`CategoricalComponents`]
 //!   (for the `g₁` objective; the E-step itself uses the term-major linear
 //!   table), and the Gaussian log-pdf constants (`−½ln(2πσ²)`, `1/(2σ²)`)
 //!   are cached in
-//!   [`GaussianComponents`](crate::attr_model::GaussianComponents).
+//!   [`GaussianComponents`].
 //!   Categorical responsibilities are formed in the *linear* domain
 //!   (`θ_{v,k} · β_{k,l}` is bounded below by the two floors, ≈ 1e-21, so it
 //!   cannot underflow). Gaussian responsibilities keep the pdf in the log
@@ -48,7 +48,7 @@
 //!   the max subtraction — `θ_k·exp(s_k − max s)` has the same normalization
 //!   as `exp(ln θ_k + s_k − max)` — and skip the argmax entry's
 //!   `exp(0) = 1`, leaving `K − 1` `exp`s and no `ln` per observation.
-//! * **Buffer reuse.** The per-chunk `β` accumulators ([`ChunkPartial`])
+//! * **Buffer reuse.** The per-chunk `β` accumulators (`ChunkPartial`)
 //!   and the per-worker responsibility rows are owned by the engine,
 //!   allocated on the caller with a cache line of slack so that no two
 //!   workers update the same line, and zeroed — never reallocated — on
@@ -56,19 +56,18 @@
 //!   [`EmEngine::run`] double-buffers `Θ` across iterations (one swap per
 //!   iteration, no per-step matrix allocation); the worker threads
 //!   themselves are spawned once per engine in a persistent
-//!   [`WorkerPool`](crate::pool::WorkerPool), not once per step.
+//!   [`WorkerPool`], not once per step.
 //! * **Scratch is step-local.** Nothing read by a step may survive from the
 //!   previous step except through the documented reset (`prepare`): the
 //!   output rows are fully overwritten before accumulation, and every
 //!   scratch field is zeroed or rebuilt at step entry.
-//! * **Overflow transparency.** The link term iterates
-//!   [`HinGraph::out_relation_segments`], which on a graph grown by
-//!   old-source appends yields a relation's base chunk followed by its
-//!   overflow chunk — the same link order a compacted CSR presents — so a
-//!   step on an overflow-carrying graph is **bit-identical** to a step on
-//!   its [`HinGraph::compact`]ed clone (warm re-fits see the full grown
-//!   topology either way; asserted by
-//!   `overflow_graph_steps_bit_identically_to_compacted`).
+//! * **Append transparency.** The link term iterates
+//!   [`HinGraph::out_relation_segments`], one chunk per relation.
+//!   [`HinGraph::append`] merges a delta into that canonical layout, so a
+//!   step on a grown graph is **bit-identical** to a step on a
+//!   from-scratch build of the same history (warm re-fits see exactly the
+//!   topology a cold fit would; asserted by
+//!   `appended_graph_steps_bit_identically_to_rebuild`).
 
 use crate::attr_model::{
     CategoricalComponents, ClusterComponents, ComponentAccumulator, GaussianComponents,
@@ -573,6 +572,13 @@ mod tests {
     /// attribute kinds, and ~40% missing observations — the stress shape for
     /// the serial/parallel and cached/naive equivalence tests.
     fn randomized_network(seed: u64, n_per_type: usize) -> (HinGraph, Vec<AttributeId>) {
+        let (b, attrs) = randomized_builder(seed, n_per_type);
+        (b.build().unwrap(), attrs)
+    }
+
+    /// The unbuilt history behind [`randomized_network`], so a test can
+    /// extend it and build once.
+    fn randomized_builder(seed: u64, n_per_type: usize) -> (HinBuilder, Vec<AttributeId>) {
         let mut rng = seeded_rng(seed);
         let mut s = Schema::new();
         let ta = s.add_object_type("A");
@@ -616,7 +622,7 @@ mod tests {
                 }
             }
         }
-        (b.build().unwrap(), vec![text, num])
+        (b, vec![text, num])
     }
 
     fn randomized_state(
@@ -810,12 +816,12 @@ mod tests {
         }
     }
 
-    /// A graph grown with old-source / staged→staged links (overflow
-    /// segments live, not compacted) must step bit-identically to its
-    /// compacted clone — the warm-refresh path fits exactly such graphs.
+    /// A graph grown with old-source / staged→staged links must step
+    /// bit-identically to a from-scratch build of the same history — the
+    /// warm-refresh path fits exactly such graphs.
     #[test]
-    fn overflow_graph_steps_bit_identically_to_compacted() {
-        use genclus_hin::{GraphDelta, ObjectId};
+    fn appended_graph_steps_bit_identically_to_rebuild() {
+        use genclus_hin::{GraphDelta, ObjectId, ObjectTypeId, RelationId};
         for seed in [3u64, 19] {
             let n = 40;
             let (g, attrs) = randomized_network(seed, n);
@@ -824,39 +830,50 @@ mod tests {
             let tb = schema.object_type_by_name("B").unwrap();
             let ab = schema.relation_by_name("ab").unwrap();
             let aa = schema.relation_by_name("aa").unwrap();
+            let (na, nb) = (ObjectId(2 * n as u32), ObjectId(2 * n as u32 + 1));
+            let new_objects: [(ObjectTypeId, &str); 2] = [(ta, "new-a"), (tb, "new-b")];
+            let new_links: [(ObjectId, ObjectId, RelationId, f64); 5] = [
+                (ObjectId(0), nb, ab, 1.3),                 // old → staged
+                (ObjectId(1), ObjectId(n as u32), ab, 0.7), // old → old
+                (ObjectId(2), ObjectId(3), aa, 2.1),        // old → old
+                (na, ObjectId(n as u32 + 1), ab, 0.9),      // new → old
+                (na, nb, ab, 1.1),                          // staged → staged
+            ];
 
             let mut grown = g;
             let mut d = GraphDelta::new(&grown);
-            let na = d.add_object(ta, "new-a");
-            let nb = d.add_object(tb, "new-b");
-            d.add_link(ObjectId(0), nb, ab, 1.3).unwrap(); // old → staged
-            d.add_link(ObjectId(1), ObjectId(n as u32), ab, 0.7)
-                .unwrap(); // old → old
-            d.add_link(ObjectId(2), ObjectId(3), aa, 2.1).unwrap(); // old → old
-            d.add_link(na, ObjectId(n as u32 + 1), ab, 0.9).unwrap(); // new → old
-            d.add_link(na, nb, ab, 1.1).unwrap(); // staged → staged
+            for (t, name) in new_objects {
+                d.add_object(t, name);
+            }
+            for (src, dst, r, w) in new_links {
+                d.add_link(src, dst, r, w).unwrap();
+            }
             grown.append(d).unwrap();
-            assert!(grown.has_overflow());
-            let mut compacted = grown.clone();
-            compacted.compact();
-            assert!(!compacted.has_overflow());
+            let (mut b, _) = randomized_builder(seed, n);
+            for (t, name) in new_objects {
+                b.add_object(t, name);
+            }
+            for (src, dst, r, w) in new_links {
+                b.add_link(src, dst, r, w).unwrap();
+            }
+            let rebuilt = b.build().unwrap();
 
             let k = 3;
             let (theta, comps) = randomized_state(&grown, &attrs, k, seed ^ 0xf00d);
             let gamma = [1.1, 0.6, 1.7];
             let mut live_eng = EmEngine::new(&grown, &attrs, k, 1, 1e-9, 1e-6);
             let live = live_eng.step(&theta, &comps, &gamma);
-            let compact =
-                EmEngine::new(&compacted, &attrs, k, 1, 1e-9, 1e-6).step(&theta, &comps, &gamma);
+            let fresh =
+                EmEngine::new(&rebuilt, &attrs, k, 1, 1e-9, 1e-6).step(&theta, &comps, &gamma);
             assert_eq!(
-                live.theta.max_abs_diff(&compact.theta),
+                live.theta.max_abs_diff(&fresh.theta),
                 0.0,
-                "seed {seed}: overflow vs compacted Θ must be bit-identical"
+                "seed {seed}: appended vs rebuilt Θ must be bit-identical"
             );
-            assert_eq!(live.max_delta, compact.max_delta);
+            assert_eq!(live.max_delta, fresh.max_delta);
+            assert_eq!(live.components, fresh.components);
             // The naive reference kernel walks the full out_links iterator
-            // (base + overflow) and must agree with the cached kernel on
-            // the overflow graph too.
+            // and must agree with the cached kernel on the grown graph too.
             let naive = ReferenceEmKernel::new(&grown, &attrs, k, 1, 1e-9, 1e-6)
                 .step(&theta, &comps, &gamma);
             assert!(live.theta.max_abs_diff(&naive.theta) <= 1e-12);
@@ -864,11 +881,13 @@ mod tests {
             let par = EmEngine::new(&grown, &attrs, k, 3, 1e-9, 1e-6).step(&theta, &comps, &gamma);
             assert!(live.theta.max_abs_diff(&par.theta) < 1e-12);
             // Multi-iteration runs stay locked together.
-            let (t_live, _, i_live) = live_eng.run(theta.clone(), comps.clone(), &gamma, 5, 0.0);
-            let (t_comp, _, i_comp) = EmEngine::new(&compacted, &attrs, k, 1, 1e-9, 1e-6)
-                .run(theta, comps, &gamma, 5, 0.0);
-            assert_eq!(i_live, i_comp);
-            assert_eq!(t_live.max_abs_diff(&t_comp), 0.0);
+            let (t_live, c_live, i_live) =
+                live_eng.run(theta.clone(), comps.clone(), &gamma, 5, 0.0);
+            let (t_fresh, c_fresh, i_fresh) =
+                EmEngine::new(&rebuilt, &attrs, k, 1, 1e-9, 1e-6).run(theta, comps, &gamma, 5, 0.0);
+            assert_eq!(i_live, i_fresh);
+            assert_eq!(t_live.max_abs_diff(&t_fresh), 0.0);
+            assert_eq!(c_live, c_fresh);
         }
     }
 

@@ -8,7 +8,7 @@
 //!
 //! A fit evaluates `g₁` once per outer iteration, and the best-of-seeds
 //! initialization once per candidate, on the EM worker pool ([`g1_on`]).
-//! The pass is a fixed-chunk reduction ([`crate::pool::ChunkBuffers`]), so
+//! The pass is a fixed-chunk reduction (`crate::pool::ChunkBuffers`), so
 //! the value is bit-identical for every thread count and equal to
 //! [`g1`]'s. It takes `ln θ_v` once per object for the structural term
 //! instead of `K` logarithms per link, and forms the attribute term in the

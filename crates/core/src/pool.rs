@@ -29,13 +29,13 @@
 //! Every pass that *sums* over objects on the pool — the EM step's `β`
 //! statistics, strength learning's pseudo-likelihood derivatives
 //! ([`crate::strength`]) and the `g₁` objective ([`crate::objective`]) —
-//! splits the objects into [`CHUNK`]-sized chunks. The chunk size is a
+//! splits the objects into `CHUNK`-sized chunks. The chunk size is a
 //! constant, never derived from the worker count. Workers claim chunks in
-//! turn ([`for_each_chunk`]) and write one partial per chunk; the caller
+//! turn (`for_each_chunk`) and write one partial per chunk; the caller
 //! adds the partials up in chunk order. A chunk's partial does not depend
 //! on which worker computed it, and the order of the final sum does not
 //! depend on the worker count, so the result is bit-identical for 1, 2 or
-//! N threads. [`ChunkBuffers`] holds the per-chunk partials and per-worker
+//! N threads. `ChunkBuffers` holds the per-chunk partials and per-worker
 //! scratch rows of a flat `f64` reduction. Both are sized on the caller
 //! before a pass, so workers allocate nothing, and padded so that no two
 //! rows share a cache line: with the rows packed, two workers updating
@@ -413,9 +413,9 @@ pub(crate) fn padded_zeros(len: usize) -> Vec<f64> {
 ///
 /// Safety contract: the ranges requested through [`Self::slice_mut`] while
 /// other slices are live must be pairwise disjoint. Every caller satisfies
-/// it through [`for_each_chunk`], which runs each chunk once: the EM engine
+/// it through `for_each_chunk`, which runs each chunk once: the EM engine
 /// and the strength statistics' refill hand chunk `c` only its own objects'
-/// rows, and [`ChunkBuffers`] only chunk `c`'s partial and the running
+/// rows, and `ChunkBuffers` only chunk `c`'s partial and the running
 /// worker's scratch row.
 pub struct DisjointRows<'a> {
     ptr: *mut f64,

@@ -30,7 +30,7 @@
 //!   refills only the `Θ`-dependent `feat` and `s`.
 //! * **On the EM worker pool.** The refill, the value pass and the
 //!   derivative pass are fixed-chunk passes
-//!   ([`crate::pool::ChunkBuffers`]): per-chunk partials summed in chunk
+//!   (`crate::pool::ChunkBuffers`): per-chunk partials summed in chunk
 //!   order, so `γ` is bit-identical for every thread count. The session
 //!   borrows the pool that [`crate::em::EmEngine`] already owns.
 //! * **One fused derivative pass.** Each Newton iteration computes `α_i`,
@@ -107,29 +107,17 @@ impl PseudoLikelihood {
     ///
     /// The graph's per-relation out-link segments
     /// ([`HinGraph::out_relation_segments`]) already group every object's
-    /// links by relation. A graph carrying overflow segments yields up to
-    /// two consecutive chunks per relation (base, then overflow); they
-    /// accumulate into **one** entry, link by link in the same order a
-    /// compacted CSR would present — the statistics are bit-identical
-    /// either way.
+    /// links by relation, one chunk per relation: each chunk is one entry,
+    /// weighted by the cached [`HinGraph::out_weight`].
     fn layout(graph: &HinGraph, k: usize, sigma: f64) -> Self {
         let mut obj_ranges = Vec::with_capacity(graph.n_objects() + 1);
         let mut rel: Vec<usize> = Vec::new();
         let mut w: Vec<f64> = Vec::new();
         obj_ranges.push(0);
         for v in graph.objects() {
-            let obj_start = rel.len();
-            for (r, links) in graph.out_relation_segments(v) {
-                // An overflow chunk continues the relation's entry opened
-                // by its base chunk (chunks of one relation are adjacent).
-                if rel.len() == obj_start || rel.last() != Some(&r.index()) {
-                    rel.push(r.index());
-                    w.push(0.0);
-                }
-                let we = w.last_mut().expect("entry just ensured");
-                for link in links {
-                    *we += link.weight;
-                }
+            for (r, _) in graph.out_relation_segments(v) {
+                rel.push(r.index());
+                w.push(graph.out_weight(v, r));
             }
             obj_ranges.push(rel.len());
         }
@@ -155,13 +143,12 @@ impl PseudoLikelihood {
     fn refill(&mut self, graph: &HinGraph, theta: &MembershipMatrix, pool: Option<&WorkerPool>) {
         let Stats {
             obj_ranges,
-            rel,
             feat,
             s,
             k,
             ..
         } = &mut self.stats;
-        let (k, obj_ranges, rel) = (*k, &*obj_ranges, &*rel);
+        let (k, obj_ranges) = (*k, &*obj_ranges);
         debug_assert_eq!(theta.n_clusters(), k);
         let n = graph.n_objects();
         let feat = DisjointRows::new(feat);
@@ -172,7 +159,7 @@ impl PseudoLikelihood {
             // SAFETY: chunk `c` runs once, and its objects own entries
             // `lo..hi`, disjoint from every other chunk's.
             let (feat, s) = unsafe { (feat.slice_mut(lo, hi), s.slice_mut(lo * k, hi * k)) };
-            refill_objects(graph, theta, obj_ranges, rel, objects, lo, feat, s, k);
+            refill_objects(graph, theta, obj_ranges, objects, lo, feat, s, k);
         });
     }
 
@@ -293,7 +280,6 @@ fn refill_objects(
     graph: &HinGraph,
     theta: &MembershipMatrix,
     obj_ranges: &[usize],
-    rel: &[usize],
     objects: std::ops::Range<usize>,
     first: usize,
     feat: &mut [f64],
@@ -307,14 +293,9 @@ fn refill_objects(
         if lo == hi {
             continue;
         }
-        // Entries follow the segments in order; an overflow chunk continues
-        // its relation's entry.
-        let mut e = lo;
-        for (r, links) in graph.out_relation_segments(ObjectId::from_index(v)) {
-            if rel[e] != r.index() {
-                e += 1;
-            }
-            debug_assert_eq!(rel[e], r.index());
+        // Entries follow the segments in order, one per relation.
+        let segments = graph.out_relation_segments(ObjectId::from_index(v));
+        for (e, (_, links)) in (lo..hi).zip(segments) {
             let se = &mut s[(e - first) * k..(e - first + 1) * k];
             for link in links {
                 let w = link.weight;
@@ -464,6 +445,12 @@ mod tests {
     /// 20 objects in 2 planted clusters with two relations: `good` connects
     /// within clusters, `bad` connects uniformly at random.
     fn two_relation_network(seed: u64) -> (HinGraph, MembershipMatrix) {
+        let (b, theta) = two_relation_builder(seed);
+        (b.build().unwrap(), theta)
+    }
+
+    /// The unbuilt history behind [`two_relation_network`].
+    fn two_relation_builder(seed: u64) -> (HinBuilder, MembershipMatrix) {
         let mut rng = genclus_stats::seeded_rng(seed);
         let mut s = Schema::new();
         let t = s.add_object_type("node");
@@ -499,10 +486,7 @@ mod tests {
                 b.add_link(vs[i], vs[j], bad, 1.0).unwrap();
             }
         }
-        (
-            b.build().unwrap(),
-            MembershipMatrix::from_rows(&theta_rows, 2),
-        )
+        (b, MembershipMatrix::from_rows(&theta_rows, 2))
     }
 
     #[test]
@@ -619,54 +603,62 @@ mod tests {
     }
 
     #[test]
-    fn overflow_graph_statistics_match_compacted() {
-        // The pseudo-likelihood must see old-source links sitting in
-        // overflow segments; merging a relation's base and overflow chunks
-        // into one entry link-by-link makes the statistics bit-identical
-        // to a compacted CSR's.
+    fn appended_graph_statistics_match_rebuild() {
+        // The pseudo-likelihood of a graph grown by old-source links must
+        // be bit-identical to that of a from-scratch build of the same
+        // history.
         use genclus_hin::{GraphDelta, ObjectId};
         let (g, theta) = two_relation_network(42);
         let t = g.schema().object_type_by_name("node").unwrap();
         let good = g.schema().relation_by_name("good").unwrap();
         let bad = g.schema().relation_by_name("bad").unwrap();
+        let v = ObjectId(g.n_objects() as u32);
+        let new_links = [
+            (ObjectId(0), v, good, 1.5),           // old → new
+            (ObjectId(0), ObjectId(5), bad, 2.0),  // old → old
+            (ObjectId(7), ObjectId(2), good, 0.5), // old → old
+            (v, ObjectId(1), good, 1.0),           // new → old
+        ];
         let mut grown = g;
         let mut d = GraphDelta::new(&grown);
-        let v = d.add_object(t, "extra");
-        d.add_link(ObjectId(0), v, good, 1.5).unwrap(); // old → new
-        d.add_link(ObjectId(0), ObjectId(5), bad, 2.0).unwrap(); // old → old
-        d.add_link(ObjectId(7), ObjectId(2), good, 0.5).unwrap(); // old → old
-        d.add_link(v, ObjectId(1), good, 1.0).unwrap(); // new → old
+        d.add_object(t, "extra");
+        for (src, dst, r, w) in new_links {
+            d.add_link(src, dst, r, w).unwrap();
+        }
         grown.append(d).unwrap();
-        assert!(grown.has_overflow());
+        let (mut b, _) = two_relation_builder(42);
+        b.add_object(t, "extra");
+        for (src, dst, r, w) in new_links {
+            b.add_link(src, dst, r, w).unwrap();
+        }
+        let rebuilt = b.build().unwrap();
         let mut rows: Vec<Vec<f64>> = (0..theta.n_objects())
             .map(|i| theta.row(i).to_vec())
             .collect();
         rows.push(vec![0.6, 0.4]);
         let theta = MembershipMatrix::from_rows(&rows, 2);
-        let mut compacted = grown.clone();
-        compacted.compact();
 
         let live = PseudoLikelihood::build(&grown, &theta, 0.3);
-        let compact = PseudoLikelihood::build(&compacted, &theta, 0.3);
+        let fresh = PseudoLikelihood::build(&rebuilt, &theta, 0.3);
         let gamma = [0.9, 1.4];
-        assert_eq!(live.value(&gamma), compact.value(&gamma));
-        let (mut g_live, mut g_comp) = ([0.0, 0.0], [0.0, 0.0]);
+        assert_eq!(live.value(&gamma), fresh.value(&gamma));
+        let (mut g_live, mut g_fresh) = ([0.0, 0.0], [0.0, 0.0]);
         live.gradient(&gamma, &mut g_live);
-        compact.gradient(&gamma, &mut g_comp);
-        assert_eq!(g_live, g_comp);
+        fresh.gradient(&gamma, &mut g_fresh);
+        assert_eq!(g_live, g_fresh);
         let mut h_live = Matrix::zeros(2, 2);
-        let mut h_comp = Matrix::zeros(2, 2);
+        let mut h_fresh = Matrix::zeros(2, 2);
         live.hessian(&gamma, &mut h_live);
-        compact.hessian(&gamma, &mut h_comp);
+        fresh.hessian(&gamma, &mut h_fresh);
         for r1 in 0..2 {
             for r2 in 0..2 {
-                assert_eq!(h_live[(r1, r2)], h_comp[(r1, r2)]);
+                assert_eq!(h_live[(r1, r2)], h_fresh[(r1, r2)]);
             }
         }
         // End to end: the learned strengths agree.
         let learner = StrengthLearner::new(0.5, NewtonOptions::default());
         let a = learner.learn(&grown, &theta, &[1.0, 1.0]);
-        let b = learner.learn(&compacted, &theta, &[1.0, 1.0]);
+        let b = learner.learn(&rebuilt, &theta, &[1.0, 1.0]);
         assert_eq!(a.gamma, b.gamma);
     }
 

@@ -3,7 +3,7 @@
 //! * [`labels`] — partial ground-truth label sets (the DBLP four-area data
 //!   labels only 20 conferences, 100 papers and 4 236 authors; evaluation is
 //!   restricted to labeled objects);
-//! * [`nmi`] — Normalized Mutual Information (Strehl–Ghosh, √-normalized),
+//! * [`nmi`](mod@nmi) — Normalized Mutual Information (Strehl–Ghosh, √-normalized),
 //!   the clustering accuracy measure of Figs. 5–8 and 10;
 //! * [`map`] — Mean Average Precision for the link-prediction accuracy test
 //!   of Tables 2–4.

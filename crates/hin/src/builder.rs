@@ -372,7 +372,6 @@ impl HinBuilder {
             out_rel_weight,
             rel_counts,
             rel_weights,
-            overflow: Default::default(),
         })
     }
 }

@@ -262,13 +262,6 @@ fn narrow_offsets(wide: &[u64]) -> Option<Vec<u32>> {
 impl HinGraph {
     /// Serializes the complete network: schema, object table, both CSR
     /// adjacencies, attribute tables, and the per-relation indexes.
-    ///
-    /// Always emits the **canonical** (compacted) form: a graph carrying
-    /// out-link overflow segments serializes exactly the bytes its
-    /// [`HinGraph::compact`]ed self would — the overflow is folded into
-    /// temporary CSR arrays on the fly, without mutating `self` — so
-    /// save → load → save byte identity holds whether or not the caller
-    /// compacted first, and snapshot files never contain overflow.
     pub fn to_bytes(&self, out: &mut Vec<u8>) {
         self.to_bytes_impl(out, false);
     }
@@ -283,18 +276,6 @@ impl HinGraph {
     }
 
     fn to_bytes_impl(&self, out: &mut Vec<u8>, v1_names: bool) {
-        let compacted = self.has_overflow().then(|| self.compacted_out_arrays());
-        let (out_offsets, out_links, out_rel_offsets, rel_weights) = match &compacted {
-            Some((oo, ol, oro, rw)) => {
-                (oo.as_slice(), ol.as_slice(), oro.as_slice(), rw.as_slice())
-            }
-            None => (
-                self.out_offsets.as_slice(),
-                self.out_links.as_slice(),
-                self.out_rel_offsets.as_slice(),
-                self.rel_weights.as_slice(),
-            ),
-        };
         self.schema.to_bytes(out);
         put_u64(out, self.n_objects() as u64);
         put_u16_iter(out, self.obj_types.iter().map(|t| t.0));
@@ -306,18 +287,18 @@ impl HinGraph {
             put_u32_slice(out, self.obj_names.raw_offsets());
             put_bytes(out, self.obj_names.raw_bytes());
         }
-        put_u32_slice(out, out_offsets);
-        put_links(out, out_links);
+        put_u32_slice(out, &self.out_offsets);
+        put_links(out, &self.out_links);
         put_u32_slice(out, &self.in_offsets);
         put_links(out, &self.in_links);
         put_u64(out, self.attrs.tables.len() as u64);
         for table in &self.attrs.tables {
             put_attr_table(out, table);
         }
-        put_u32_slice(out, out_rel_offsets);
+        put_u32_slice(out, &self.out_rel_offsets);
         put_f64_slice(out, &self.out_rel_weight);
         put_u32_slice(out, &self.rel_counts);
-        put_f64_slice(out, rel_weights);
+        put_f64_slice(out, &self.rel_weights);
     }
 
     /// Inverse of [`Self::to_bytes`]. Re-validates every structural
@@ -428,7 +409,6 @@ impl HinGraph {
             out_rel_weight,
             rel_counts,
             rel_weights,
-            overflow: Default::default(),
         })
     }
 }

@@ -7,16 +7,13 @@
 //! observations, and [`HinGraph::append`] attaches them to the existing
 //! arrays:
 //!
-//! * links originating at **new** objects grow the out-link CSR, the
-//!   per-relation sub-segment index, and the cached per-`(object,
-//!   relation)` weights by **appending rows** — existing objects' segments
-//!   are untouched (`O(new objects · |R| + new links)`);
-//! * links originating at **pre-existing** objects (old → old and
-//!   old → new alike) land in the source's per-relation **overflow
-//!   segments** (see `genclus_hin::graph`'s module docs): the base CSR
-//!   stays immutable, every adjacency accessor traverses base + overflow
-//!   in canonical order, and [`HinGraph::compact`] folds the overflow back
-//!   into a canonical CSR whose bytes match a from-scratch rebuild;
+//! * the out-link CSR is rewritten in **one canonical merge**: per source
+//!   (old or new) and relation, the existing sub-segment followed by that
+//!   pair's delta links in insertion order, with the per-relation offsets
+//!   and the cached `(object, relation)` and per-relation weights derived
+//!   in the builder's order — so the grown graph equals a from-scratch
+//!   [`crate::builder::HinBuilder`] build of the same history field by
+//!   field, and every reader keeps seeing one chunk per relation;
 //! * the in-link CSR is extended with one linear merge pass (a link may
 //!   target *any* object, so old in-segments can grow) — a straight copy
 //!   with no re-sort and no re-validation of existing links;
@@ -362,12 +359,11 @@ impl HinGraph {
     /// Validates everything first (base size, schema identity, endpoint
     /// types of every pre-existing endpoint re-checked against the live
     /// graph), so on `Err` the graph is untouched. Work is
-    /// `O(new objects · |R| + new links + |V| + |E|)` — the `|V| + |E|`
-    /// term is the single linear copy extending the in-link CSR; nothing
-    /// is re-sorted or re-validated for existing objects. Links from
-    /// pre-existing sources extend their per-relation overflow segments
-    /// (see [`crate::graph`]'s module docs); call [`HinGraph::compact`]
-    /// to fold them back into a canonical CSR.
+    /// `O(|V|·|R| + |E| + d log d)` for `d` new links: one linear merge
+    /// each rewrites the out-link and the in-link CSR, and only the delta
+    /// is sorted; nothing is re-validated for existing objects. Afterwards
+    /// the graph equals a from-scratch build of the same history field by
+    /// field (see [`crate::graph`]'s module docs).
     pub fn append(&mut self, delta: GraphDelta) -> Result<(), HinError> {
         if delta.base_objects != self.n_objects() {
             return Err(HinError::DeltaBaseMismatch {
@@ -440,59 +436,56 @@ impl HinGraph {
         }
         // lint: end-region
 
-        // Old-source links extend overflow segments; caches update in
-        // place, one link at a time in insertion order so the per-(object,
-        // relation) weights accumulate exactly as a from-scratch rebuild
-        // would (the global `rel_weights` float may re-associate — the
-        // compaction pass re-derives it canonically).
+        // Out CSR: one canonical merge. Per source and relation, the
+        // existing sub-segment is followed by that pair's delta links in
+        // insertion order — the builder's stable per-relation grouping of
+        // the same history. A stable sort of the delta by (source, relation)
+        // lines the links up for one forward walk. `out_rel_weight`
+        // accumulates per link in that order (as the builder's segment sums
+        // do) and the new arrays replace the old ones before the in-CSR
+        // pass, so at most one spare adjacency is alive at a time.
         let links_in_order = delta.links;
-        for &(src, link) in &links_in_order {
-            if src.index() < base {
-                let r = link.relation.index();
-                self.out_rel_weight[src.index() * n_rel + r] += link.weight;
-                self.rel_counts[r] += 1;
-                self.rel_weights[r] += link.weight;
-                self.overflow.push(src.index(), n_rel, link);
-            }
-        }
-
-        // New-source links: append one grouped base-CSR segment per new
-        // object (existing segments keep their positions).
-        // `links_in_order` is kept in insertion order for the in-CSR
-        // scatter below: the builder's in-CSR is filled in link *insertion*
-        // order, and the append-equals-rebuild byte identity requires
-        // matching it (the grouped out-CSR walk would instead visit links
-        // source-ascending, relation-grouped).
-        let mut per_source: Vec<Vec<Link>> = vec![Vec::new(); n_new];
-        for &(src, link) in &links_in_order {
-            if src.index() >= base {
-                per_source[src.index() - base].push(link);
-            }
-        }
+        let mut by_pair: Vec<&(ObjectId, Link)> = links_in_order.iter().collect();
+        by_pair.sort_by_key(|(src, link)| (src.index(), link.relation.index()));
+        let mut pending = by_pair.into_iter().peekable();
         let stride = n_rel + 1;
-        self.out_rel_offsets.reserve(n_new * stride);
-        self.out_rel_weight.reserve(n_new * n_rel);
-        let mut bucket: Vec<Vec<Link>> = vec![Vec::new(); n_rel];
-        for links in per_source {
-            // Stable grouping by relation, mirroring the builder.
-            for link in links {
-                bucket[link.relation.index()].push(link);
+        let mut out_links = Vec::with_capacity(self.out_links.len() + links_in_order.len());
+        let mut out_offsets = Vec::with_capacity(total + 1);
+        let mut out_rel_offsets = Vec::with_capacity(total * stride);
+        self.out_rel_weight.resize(total * n_rel, 0.0);
+        out_offsets.push(0u32);
+        // lint: region(scale-hot)
+        for v in 0..total {
+            out_rel_offsets.push(out_links.len() as u32);
+            for r in 0..n_rel {
+                if v < base {
+                    let lo = self.out_rel_offsets[v * stride + r] as usize;
+                    let hi = self.out_rel_offsets[v * stride + r + 1] as usize;
+                    out_links.extend_from_slice(&self.out_links[lo..hi]);
+                }
+                while let Some((_, link)) =
+                    pending.next_if(|(src, link)| src.index() == v && link.relation.index() == r)
+                {
+                    self.out_rel_weight[v * n_rel + r] += link.weight;
+                    self.rel_counts[r] += 1;
+                    out_links.push(*link);
+                }
+                out_rel_offsets.push(out_links.len() as u32);
             }
-            let seg_start = self.out_links.len() as u32;
-            self.out_rel_offsets.push(seg_start);
-            for (r, b) in bucket.iter_mut().enumerate() {
-                // Explicit +0.0 seed: `Iterator::sum::<f64>` folds from
-                // -0.0, which would make empty segments differ bitwise
-                // from the builder's zeroed accumulator and break the
-                // append-equals-rebuild byte identity.
-                let weight: f64 = b.iter().fold(0.0, |acc, l| acc + l.weight);
-                self.out_rel_weight.push(weight);
-                self.rel_counts[r] += b.len() as u32;
-                self.rel_weights[r] += weight;
-                self.out_links.append(b); // drains the bucket
-                self.out_rel_offsets.push(self.out_links.len() as u32);
+            out_offsets.push(out_links.len() as u32);
+        }
+        // lint: end-region
+        self.out_links = out_links;
+        self.out_offsets = out_offsets;
+        self.out_rel_offsets = out_rel_offsets;
+        // Per-relation totals in the builder's order (ascending object,
+        // then relation): an in-place `+=` per link would re-associate the
+        // float sum and drift from a rebuild in the last bits.
+        self.rel_weights.fill(0.0);
+        for v in 0..total {
+            for (r, w) in self.rel_weights.iter_mut().enumerate() {
+                *w += self.out_rel_weight[v * n_rel + r];
             }
-            self.out_offsets.push(self.out_links.len() as u32);
         }
 
         // In CSR: one merge pass. Count the new in-links per target, then
@@ -503,8 +496,6 @@ impl HinGraph {
         for &(_, link) in &links_in_order {
             extra[link.endpoint.index()] += 1;
         }
-        // Full link count: base + new-source segments (`out_links`) plus
-        // the old-source links already routed to overflow above.
         let mut in_links = Vec::with_capacity(self.n_links());
         let mut in_offsets = Vec::with_capacity(total + 1);
         in_offsets.push(0u32);
@@ -904,7 +895,7 @@ mod tests {
     }
 
     #[test]
-    fn old_source_links_land_in_overflow_and_serialize_canonically() {
+    fn old_source_links_merge_into_the_canonical_csr() {
         let mut g = base();
         let schema = g.schema().clone();
         let author = schema.object_type_by_name("author").unwrap();
@@ -924,26 +915,21 @@ mod tests {
         d.add_link(p2, ObjectId(0), wb, 1.5).unwrap(); // new p2 → old a0
         g.append(d).unwrap();
 
-        // Overflow exists (two old sources) and every accessor sees it.
-        assert!(g.has_overflow());
-        assert_eq!(g.n_overflow_links(), 2);
+        // The old sources' segments grew in place, and every accessor sees it.
         assert_eq!(g.n_links(), 4 + 5);
         let a0 = ObjectId(0);
-        assert_eq!(g.out_links(a0).count(), 2, "a0's base link + overflow");
+        assert_eq!(g.out_links(a0).count(), 2, "a0's base link + the new one");
         assert_eq!(g.out_degree(a0), 2);
         assert!(g.has_out_links(a0));
         assert_eq!(g.out_weight(a0, w), 1.0 + 0.25);
         assert_eq!(g.relation_link_count(w), 2 + 4);
-        assert!((g.relation_total_weight(w) - (3.0 + 0.25 + 0.5 + 0.75 + 1.25)).abs() < 1e-12);
-        // Canonical per-relation order: base sub-segment before overflow.
+        // Canonical per-relation order: existing links before the delta's.
         let weights: Vec<f64> = g.out_links_for_relation(a0, w).map(|l| l.weight).collect();
         assert_eq!(weights, vec![1.0, 0.25]);
-        // The segment view yields the overflow as a second chunk of the
-        // same relation, and chunks still tile the full out-link list.
+        // One chunk per relation, and the chunks tile the out-links.
         let segs: Vec<_> = g.out_relation_segments(a0).collect();
-        assert_eq!(segs.len(), 2);
-        assert_eq!((segs[0].0, segs[0].1.len()), (w, 1));
-        assert_eq!((segs[1].0, segs[1].1.len()), (w, 1));
+        assert_eq!(segs.len(), 1);
+        assert_eq!((segs[0].0, segs[0].1.len()), (w, 2));
         for v in g.objects() {
             let total: usize = g.out_relation_segments(v).map(|(_, s)| s.len()).sum();
             assert_eq!(total, g.out_degree(v));
@@ -951,9 +937,7 @@ mod tests {
         // In-CSR grew for the old targets.
         assert_eq!(g.in_links(ObjectId(3)).len(), 2, "old p1 gained an in-link");
 
-        // Serialization is canonical with the overflow still live …
-        let bytes_live = rebuilt_equivalent(&g);
-        // … and identical to the same network built from scratch in one go.
+        // Identical to the same network built from scratch in one go.
         let mut b = HinBuilder::new(schema);
         let a0 = b.add_object(author, "a0");
         let a1 = b.add_object(author, "a1");
@@ -972,31 +956,17 @@ mod tests {
         b.add_link(p2, a0, wb, 1.5).unwrap();
         let fresh = b.build().unwrap();
         assert_eq!(
-            bytes_live,
+            rebuilt_equivalent(&g),
             rebuilt_equivalent(&fresh),
-            "overflow graph must serialize byte-identically to a rebuild"
+            "the appended graph must serialize byte-identically to a rebuild"
         );
-
-        // Compaction folds the overflow in without changing the bytes, and
-        // is idempotent.
-        g.compact();
-        assert!(!g.has_overflow());
-        assert_eq!(g.n_links(), 9);
-        assert_eq!(rebuilt_equivalent(&g), bytes_live);
-        let weights: Vec<f64> = g
-            .out_links_for_relation(ObjectId(0), w)
-            .map(|l| l.weight)
-            .collect();
-        assert_eq!(weights, vec![1.0, 0.25], "compaction preserves link order");
-        g.compact();
-        assert_eq!(rebuilt_equivalent(&g), bytes_live);
     }
 
     #[test]
     fn repeated_appends_turn_earlier_arrivals_into_old_sources() {
         // An object appended in round 1 is a pre-existing source in round 2:
-        // its base-CSR tail segment gains an overflow segment, and the
-        // final bytes still match a single from-scratch build.
+        // its segment grows in the merge, and the final bytes still match a
+        // single from-scratch build.
         let mut g = base();
         let schema = g.schema().clone();
         let author = schema.object_type_by_name("author").unwrap();
@@ -1033,9 +1003,6 @@ mod tests {
         b.add_link(a2, p2, w, 0.75).unwrap();
         b.add_link(a0, p2, w, 1.25).unwrap();
         let fresh = b.build().unwrap();
-        assert_eq!(rebuilt_equivalent(&g), rebuilt_equivalent(&fresh));
-
-        g.compact();
         assert_eq!(rebuilt_equivalent(&g), rebuilt_equivalent(&fresh));
     }
 
@@ -1080,7 +1047,6 @@ mod tests {
                 d.add_numeric(p2, year, 2012.0).unwrap();
                 g.append(d).unwrap();
             }
-            g.compact();
             rebuilt_equivalent(&g)
         };
         let reference = build(false, false);

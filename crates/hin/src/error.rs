@@ -60,8 +60,8 @@ pub enum HinError {
         got: usize,
     },
     /// A delta observation referenced an object that is not one of the
-    /// delta's *new* objects. Links may originate at any existing object
-    /// (old sources extend overflow segments), but observations are
+    /// delta's *new* objects. Links may originate at any existing object,
+    /// but observations are
     /// append-only rows of the new objects — retro-fitting attributes of
     /// served objects is out of the delta's scope.
     NotADeltaObject(ObjectId),

@@ -1,4 +1,4 @@
-//! The heterogeneous network: an immutable base CSR plus overflow segments.
+//! The heterogeneous network: CSR adjacency with per-relation indexes.
 //!
 //! [`HinGraph`] stores objects with their types and names, directed typed
 //! links in CSR form (both out-link and in-link adjacency are materialized at
@@ -20,122 +20,17 @@
 //!   are O(1));
 //! * a name → id map makes [`HinGraph::object_by_name`] O(1).
 //!
-//! # Segmented out-adjacency (base CSR + overflow)
-//!
-//! The out-adjacency is **segmented** so the graph can grow without
-//! rewriting existing segments: the canonical base CSR (`out_links` /
-//! `out_offsets` / `out_rel_offsets`) is immutable once built, and each
-//! `(source, relation)` pair may additionally own an **overflow segment**
-//! ([`OverflowAdjacency`]) holding links appended after the source's base
-//! segment was laid out — this is how [`crate::delta::GraphDelta`] attaches
-//! links that *originate at a pre-existing object* without shifting every
-//! later CSR segment. The canonical link order of a pair is its base
-//! sub-segment followed by its overflow segment, both in insertion order;
-//! every accessor below traverses base + overflow in exactly that order, so
-//! algorithms see the same link sequence a from-scratch rebuild would
-//! produce (the EM kernels and strength statistics are bit-identical either
-//! way). [`HinGraph::compact`] folds the overflow back into a fresh
-//! canonical CSR — `O(|V|·|R| + |E|)`, triggered by the serving layer at
-//! refresh/save time — and the byte codec serializes the compacted form
-//! whether or not `compact` ran, so snapshots never contain overflow.
+//! Each object's out-link segment is **canonical**: relation-ascending,
+//! and within a relation in link insertion order. [`HinGraph::append`]
+//! merges a delta's links into that layout directly (see [`crate::delta`]),
+//! so a grown graph equals a from-scratch [`crate::builder::HinBuilder`]
+//! build of the same history field by field, and every accessor below reads
+//! one contiguous slice per object or per `(object, relation)` pair.
 
 use crate::arena::{NameArena, NameIndex};
 use crate::attributes::{AttributeData, AttributeStore};
 use crate::ids::{AttributeId, ObjectId, ObjectTypeId, RelationId};
 use crate::schema::Schema;
-use std::collections::HashMap;
-
-/// Per-source, per-relation overflow segments of the out-adjacency.
-///
-/// Sources are registered lazily (only objects that actually received
-/// overflow links pay anything); each registered source owns **one**
-/// `Vec<Link>` holding all of its overflow links segmented by relation
-/// (relation-ascending, insertion order within a relation), plus a row of
-/// per-relation counts that locates the sub-segments. The former layout —
-/// one `Vec<Link>` per `(source, relation)` — allocated `|R|` vectors per
-/// touched source even for relations that never overflow; this one
-/// allocates exactly one. See the module docs for how the segments compose
-/// with the base CSR.
-#[derive(Debug, Clone, Default)]
-pub(crate) struct OverflowAdjacency {
-    /// Source object index → row index into `rows` / `counts`.
-    slots: HashMap<u32, u32>,
-    /// One segmented link vector per registered source.
-    rows: Vec<Vec<Link>>,
-    /// Per-`(source, relation)` sub-segment lengths, stride `|R|`.
-    counts: Vec<u32>,
-    /// Relation count (the `counts` stride).
-    n_rel: usize,
-    /// Total overflow links across all sources.
-    n_links: usize,
-}
-
-/// Borrowed view of one source's overflow links, segmented by relation.
-#[derive(Debug, Clone, Copy)]
-pub(crate) struct OverflowSegments<'a> {
-    /// All overflow links of the source, relation-ascending.
-    links: &'a [Link],
-    /// Per-relation sub-segment lengths (`|R|` entries).
-    counts: &'a [u32],
-}
-
-impl<'a> OverflowSegments<'a> {
-    /// Total overflow links of the source.
-    #[inline]
-    pub(crate) fn len(&self) -> usize {
-        self.links.len()
-    }
-
-    /// The sub-segment of relation `r` (prefix-sum lookup; `|R|` is small).
-    #[inline]
-    pub(crate) fn relation(&self, r: usize) -> &'a [Link] {
-        let lo: u32 = self.counts[..r].iter().sum();
-        let hi = lo + self.counts[r];
-        &self.links[lo as usize..hi as usize]
-    }
-}
-
-impl OverflowAdjacency {
-    /// Whether any overflow segment exists.
-    pub(crate) fn is_empty(&self) -> bool {
-        self.n_links == 0
-    }
-
-    /// Total overflow links.
-    pub(crate) fn n_links(&self) -> usize {
-        self.n_links
-    }
-
-    /// The segmented overflow view of source `v`, if it has any links.
-    pub(crate) fn for_source(&self, v: usize) -> Option<OverflowSegments<'_>> {
-        self.slots.get(&(v as u32)).map(|&s| {
-            let s = s as usize;
-            OverflowSegments {
-                links: &self.rows[s],
-                counts: &self.counts[s * self.n_rel..(s + 1) * self.n_rel],
-            }
-        })
-    }
-
-    /// Appends one link to source `v`'s overflow sub-segment for its
-    /// relation (inserted at the sub-segment's end to keep the row in
-    /// canonical relation-ascending order).
-    pub(crate) fn push(&mut self, v: usize, n_rel: usize, link: Link) {
-        debug_assert!(self.rows.is_empty() || self.n_rel == n_rel);
-        self.n_rel = n_rel;
-        let slot = *self.slots.entry(v as u32).or_insert_with(|| {
-            self.rows.push(Vec::new());
-            self.counts.resize(self.counts.len() + n_rel, 0);
-            (self.rows.len() - 1) as u32
-        }) as usize;
-        let r = link.relation.index();
-        let counts = &self.counts[slot * n_rel..(slot + 1) * n_rel];
-        let pos: u32 = counts[..=r].iter().sum();
-        self.rows[slot].insert(pos as usize, link);
-        self.counts[slot * n_rel + r] += 1;
-        self.n_links += 1;
-    }
-}
 
 /// One directed link as seen from one side of the adjacency.
 ///
@@ -185,10 +80,6 @@ pub struct HinGraph {
     pub(crate) rel_counts: Vec<u32>,
     /// Cached `Σ w(e)` per relation.
     pub(crate) rel_weights: Vec<f64>,
-    /// Out-link overflow segments for sources whose base CSR segment was
-    /// already laid out when the link arrived (see the module docs). Empty
-    /// on freshly built or decoded graphs.
-    pub(crate) overflow: OverflowAdjacency,
 }
 
 impl HinGraph {
@@ -204,23 +95,10 @@ impl HinGraph {
         self.obj_types.len()
     }
 
-    /// Number of directed links `|E|` (base CSR + overflow).
+    /// Number of directed links `|E|`.
     #[inline]
     pub fn n_links(&self) -> usize {
-        self.out_links.len() + self.overflow.n_links()
-    }
-
-    /// Whether any out-link lives in an overflow segment rather than the
-    /// base CSR (i.e. [`Self::compact`] would do work).
-    #[inline]
-    pub fn has_overflow(&self) -> bool {
-        !self.overflow.is_empty()
-    }
-
-    /// Number of out-links currently held in overflow segments.
-    #[inline]
-    pub fn n_overflow_links(&self) -> usize {
-        self.overflow.n_links()
+        self.out_links.len()
     }
 
     /// Type of object `v`.
@@ -257,46 +135,30 @@ impl HinGraph {
     }
 
     /// Out-links of `v`: all `e = ⟨v, u⟩`, the links driving `θ_v`'s
-    /// neighbor term in the EM update (Eq. 10). Traverses base + overflow
-    /// segments in canonical order (per relation ascending, base sub-segment
-    /// before the relation's overflow segment). On an overflow-free graph —
-    /// every freshly built or decoded one — this degrades to the plain
-    /// contiguous base-CSR slice, with no per-relation walk and no overflow
-    /// lookup (the whole-graph emptiness check is O(1)).
+    /// neighbor term in the EM update (Eq. 10), grouped by relation.
     #[inline]
     pub fn out_links(&self, v: ObjectId) -> impl Iterator<Item = &Link> {
-        let (fast, n_rel): (&[Link], usize) = if self.overflow.is_empty() {
-            let lo = self.out_offsets[v.index()] as usize;
-            let hi = self.out_offsets[v.index() + 1] as usize;
-            (&self.out_links[lo..hi], 0)
-        } else {
-            (&[], self.schema.n_relations())
-        };
-        let ovf = (n_rel > 0)
-            .then(|| self.overflow.for_source(v.index()))
-            .flatten();
-        let stride = self.schema.n_relations() + 1;
-        let row = v.index() * stride;
-        fast.iter().chain((0..n_rel).flat_map(move |r| {
-            let lo = self.out_rel_offsets[row + r] as usize;
-            let hi = self.out_rel_offsets[row + r + 1] as usize;
-            let extra: &[Link] = ovf.map_or(&[], |b| b.relation(r));
-            self.out_links[lo..hi].iter().chain(extra)
-        }))
+        self.out_segment(v).iter()
     }
 
-    /// Number of out-links of `v` (base + overflow).
+    /// `v`'s whole out-link segment.
+    #[inline]
+    fn out_segment(&self, v: ObjectId) -> &[Link] {
+        let lo = self.out_offsets[v.index()] as usize;
+        let hi = self.out_offsets[v.index() + 1] as usize;
+        &self.out_links[lo..hi]
+    }
+
+    /// Number of out-links of `v`.
     #[inline]
     pub fn out_degree(&self, v: ObjectId) -> usize {
-        let base = (self.out_offsets[v.index() + 1] - self.out_offsets[v.index()]) as usize;
-        base + self.overflow_for(v.index()).map_or(0, |b| b.len())
+        self.out_segment(v).len()
     }
 
-    /// Whether `v` has at least one out-link (base or overflow).
+    /// Whether `v` has at least one out-link.
     #[inline]
     pub fn has_out_links(&self, v: ObjectId) -> bool {
-        self.out_offsets[v.index() + 1] > self.out_offsets[v.index()]
-            || self.overflow_for(v.index()).is_some_and(|b| b.len() > 0)
+        !self.out_segment(v).is_empty()
     }
 
     /// In-links of `v`: all `e = ⟨u, v⟩`, with `endpoint` = `u`.
@@ -322,8 +184,8 @@ impl HinGraph {
             .collect()
     }
 
-    /// Iterates over every directed link as `(source, link)`, in canonical
-    /// (base-then-overflow) order per source.
+    /// Iterates over every directed link as `(source, link)`, source
+    /// ascending, each source's links in canonical order.
     pub fn iter_links(&self) -> impl Iterator<Item = (ObjectId, &Link)> {
         (0..self.n_objects()).flat_map(move |i| {
             let v = ObjectId::from_index(i);
@@ -344,8 +206,7 @@ impl HinGraph {
         self.rel_weights[r.index()]
     }
 
-    /// Out-links of `v` restricted to relation `r` (O(1) segment lookup),
-    /// base sub-segment first, then the pair's overflow segment.
+    /// Out-links of `v` restricted to relation `r` (O(1) segment lookup).
     #[inline]
     pub fn out_links_for_relation(
         &self,
@@ -356,33 +217,13 @@ impl HinGraph {
         let base = v.index() * stride + r.index();
         let lo = self.out_rel_offsets[base] as usize;
         let hi = self.out_rel_offsets[base + 1] as usize;
-        let extra: &[Link] = self
-            .overflow_for(v.index())
-            .map_or(&[], |b| b.relation(r.index()));
-        self.out_links[lo..hi].iter().chain(extra)
-    }
-
-    /// `v`'s overflow segments, guarded by the O(1) graph-wide emptiness
-    /// check so overflow-free graphs (every freshly built, decoded, or
-    /// compacted one) never pay a hash lookup on the hot accessors.
-    #[inline]
-    fn overflow_for(&self, v: usize) -> Option<OverflowSegments<'_>> {
-        if self.overflow.is_empty() {
-            None
-        } else {
-            self.overflow.for_source(v)
-        }
+        self.out_links[lo..hi].iter()
     }
 
     /// The non-empty per-relation chunks of `v`'s out-links, ascending by
-    /// relation id. This is the grouped view the EM link term and the
-    /// strength-learning statistics iterate, with no per-link branching.
-    /// A relation with both a base sub-segment and an overflow segment
-    /// yields **two consecutive chunks** with the same `RelationId` (base
-    /// first) — consumers summing per link see exactly the canonical
-    /// (compacted) link order, so their arithmetic is unchanged by
-    /// compaction; consumers assuming one chunk per relation must merge
-    /// consecutive equal ids.
+    /// relation id, one chunk per relation. This is the grouped view the
+    /// EM link term and the strength-learning statistics iterate, with no
+    /// per-link branching.
     #[inline]
     pub fn out_relation_segments(
         &self,
@@ -392,77 +233,18 @@ impl HinGraph {
         let stride = n_rel + 1;
         let base = v.index() * stride;
         let offsets = &self.out_rel_offsets[base..base + stride];
-        let ovf = self.overflow_for(v.index());
-        (0..n_rel).flat_map(move |r| {
-            let lo = offsets[r] as usize;
-            let hi = offsets[r + 1] as usize;
-            let extra: &[Link] = ovf.map_or(&[], |b| b.relation(r));
-            let rel = RelationId::from_index(r);
-            [(rel, &self.out_links[lo..hi]), (rel, extra)]
-                .into_iter()
-                .filter(|(_, s)| !s.is_empty())
-        })
+        (0..n_rel)
+            .map(move |r| {
+                let links = &self.out_links[offsets[r] as usize..offsets[r + 1] as usize];
+                (RelationId::from_index(r), links)
+            })
+            .filter(|(_, links)| !links.is_empty())
     }
 
-    /// Folds the overflow segments back into a fresh canonical CSR
-    /// (`O(|V|·|R| + |E|)`); a no-op when there is no overflow. Afterwards
-    /// the graph is byte-identical to one rebuilt from scratch with the
-    /// same link insertion history, and the hot per-relation accessors run
-    /// branch-free again. The serving layer calls this at refresh/save
-    /// time; long-running processes appending old-source links should call
-    /// it whenever overflow grows past a few percent of the base CSR.
-    pub fn compact(&mut self) {
-        if self.overflow.is_empty() {
-            return;
-        }
-        let (out_offsets, out_links, out_rel_offsets, rel_weights) = self.compacted_out_arrays();
-        self.out_offsets = out_offsets;
-        self.out_links = out_links;
-        self.out_rel_offsets = out_rel_offsets;
-        self.rel_weights = rel_weights;
-        self.overflow = OverflowAdjacency::default();
-    }
-
-    /// The canonical (compaction-result) out-CSR arrays: offsets, links,
-    /// per-relation sub-segment offsets, and per-relation weight totals
-    /// re-accumulated in the builder's order (ascending object, then
-    /// relation) so the bytes match a from-scratch rebuild bit for bit.
-    /// Shared by [`Self::compact`] and the byte codec, which serializes the
-    /// compacted form without mutating `self`.
-    pub(crate) fn compacted_out_arrays(&self) -> (Vec<u32>, Vec<Link>, Vec<u32>, Vec<f64>) {
-        let n = self.n_objects();
-        let n_rel = self.schema.n_relations();
-        let stride = n_rel + 1;
-        let mut links = Vec::with_capacity(self.n_links());
-        let mut offsets = Vec::with_capacity(n + 1);
-        let mut rel_offsets = Vec::with_capacity(n * stride);
-        offsets.push(0u32);
-        for v in 0..n {
-            let ovf = self.overflow.for_source(v);
-            rel_offsets.push(links.len() as u32);
-            for r in 0..n_rel {
-                let lo = self.out_rel_offsets[v * stride + r] as usize;
-                let hi = self.out_rel_offsets[v * stride + r + 1] as usize;
-                links.extend_from_slice(&self.out_links[lo..hi]);
-                if let Some(b) = ovf {
-                    links.extend_from_slice(b.relation(r));
-                }
-                rel_offsets.push(links.len() as u32);
-            }
-            offsets.push(links.len() as u32);
-        }
-        // Per-relation totals, re-accumulated in the builder's exact order
-        // (the live `rel_weights` cache is numerically equal but may differ
-        // in the last bits after old-source appends, because in-place `+=`
-        // re-associates the float sum).
-        let mut rel_weights = vec![0.0f64; n_rel];
-        for v in 0..n {
-            for (r, w) in rel_weights.iter_mut().enumerate() {
-                *w += self.out_rel_weight[v * n_rel + r];
-            }
-        }
-        (offsets, links, rel_offsets, rel_weights)
-    }
+    /// A no-op, kept for callers written against the former segmented
+    /// out-adjacency: [`Self::append`] leaves the out-CSR canonical, so
+    /// there is nothing to fold.
+    pub fn compact(&mut self) {}
 
     /// Observation table of attribute `a`.
     #[inline]

@@ -25,14 +25,14 @@
 //! * [`schema`] — the type system: object types, relations with typed
 //!   endpoints, attribute declarations;
 //! * [`graph`] — [`graph::HinGraph`] with CSR out-link and in-link
-//!   adjacency; the out side is **segmented** (an immutable base CSR plus
-//!   per-`(source, relation)` overflow segments fed by [`delta`], folded
-//!   back into a canonical CSR by [`graph::HinGraph::compact`] — see the
-//!   module docs for the layout and the compaction trigger);
+//!   adjacency, each out segment grouped by relation in link insertion
+//!   order;
 //! * [`builder`] — [`builder::HinBuilder`], the validated construction path;
 //! * [`delta`] — [`delta::GraphDelta`], incremental growth: append new
 //!   objects, links (from new *or* pre-existing sources, to new or
-//!   pre-existing targets), and observations without a full rebuild;
+//!   pre-existing targets), and observations without a full rebuild —
+//!   one canonical merge whose result equals a from-scratch build of the
+//!   same history;
 //! * [`codec`] — `to_bytes` / `from_bytes` for [`schema::Schema`] and
 //!   [`graph::HinGraph`], the hooks under the `genclus-serve` snapshot
 //!   format;

@@ -43,7 +43,7 @@ pub fn find_workspace_root(start: &Path) -> Option<PathBuf> {
     None
 }
 
-/// Collects every `.rs` file under `root`, skipping [`SKIP_DIRS`], sorted
+/// Collects every `.rs` file under `root`, skipping `SKIP_DIRS`, sorted
 /// for deterministic output.
 pub fn collect_rs_files(root: &Path) -> io::Result<Vec<PathBuf>> {
     let mut out = Vec::new();

@@ -2,8 +2,8 @@
 //!
 //! Every re-fit of a [`crate::refresh::RefreshableEngine`] runs here: the
 //! heavy part — append the staged delta, run [`GenClus::fit_warm`],
-//! compact, encode the refreshed snapshot once from the graph and model in
-//! hand, optionally persist those bytes, then index it into a ready
+//! encode the refreshed snapshot once from the graph and model in hand,
+//! optionally persist those bytes, then index it into a ready
 //! [`QueryEngine`] — goes to a dedicated one-worker [`WorkerPool`] via
 //! [`WorkerPool::submit`], and the finished engine comes back through a
 //! [`JobHandle`]. In background mode the serving thread polls the handle
@@ -15,10 +15,10 @@
 //!
 //! The split of responsibilities:
 //!
-//! * [`RefitInput`] owns everything the job needs (a compacted copy of the
-//!   served graph, the staged [`GraphDelta`], the warm-seed model, the
+//! * `RefitInput` owns everything the job needs (a copy of the served
+//!   graph, the staged [`GraphDelta`], the warm-seed model, the
 //!   resolved config) so the job borrows nothing from the engine;
-//! * [`run_refit`] is the *pure* re-fit the worker runs;
+//! * `run_refit` is the *pure* re-fit the worker runs;
 //! * [`RefitWorker`] wraps the pool + at-most-one in-flight handle, maps a
 //!   panicked job into a [`ServeError::Refresh`] (the worker thread
 //!   survives, in both modes), and exposes poll/join so the engine decides
@@ -43,8 +43,7 @@ use std::time::Instant;
 /// Everything one warm re-fit consumes, owned — the job runs on another
 /// thread and must not borrow the serving engine.
 pub(crate) struct RefitInput {
-    /// Compacted copy of the served snapshot's graph (snapshots are always
-    /// canonical, so no compaction is needed before the append).
+    /// Copy of the served snapshot's graph, grown in place by the append.
     pub graph: HinGraph,
     /// The refresh window being applied.
     pub delta: GraphDelta,
@@ -76,7 +75,7 @@ pub(crate) struct RefitOutput {
     pub seconds: f64,
 }
 
-/// Appends `delta`, warm re-fits, compacts, serializes, (optionally)
+/// Appends `delta`, warm re-fits, serializes, (optionally)
 /// persists, and builds the replacement [`QueryEngine`] — the entire
 /// refresh except the swap itself. Pure with respect to the serving
 /// engine.
@@ -102,9 +101,9 @@ pub(crate) fn run_refit(input: RefitInput) -> Result<RefitOutput, ServeError> {
     let objects_added = delta.n_new_objects();
     let links_added = delta.n_new_links();
 
-    // Old-source links land in the graph's overflow segments; the warm
-    // re-fit runs on the segmented graph directly (the EM kernels traverse
-    // base + overflow bit-identically to a compacted CSR).
+    // The append merges every staged link, old sources included, into the
+    // canonical CSR: the warm re-fit steps exactly the graph a from-scratch
+    // build of the same history would give.
     graph.append(delta)?;
     let refit = |e: genclus_core::GenClusError| ServeError::Refresh(e.to_string());
     let fit = GenClus::new(cfg)
@@ -112,11 +111,8 @@ pub(crate) fn run_refit(input: RefitInput) -> Result<RefitOutput, ServeError> {
         .fit_warm(&graph, &warm)
         .map_err(refit)?;
 
-    // Compaction trigger: `from_parts` folds the overflow back into a
-    // canonical CSR before the snapshot is cut (the codec would
-    // canonicalize on the fly anyway; compacting also hands the
-    // swapped-in engine a branch-free base CSR). It encodes once and keeps
-    // the graph and model in hand — no second checksum pass, no decode.
+    // `from_parts` encodes once and keeps the graph and model in hand —
+    // no second checksum pass, no decode.
     // The candidate-index rebuild and (threads > 1) the query-pool spawn
     // also run here, off the serving thread: paying them at swap time
     // would reintroduce a serving stall proportional to the model size.
@@ -160,7 +156,7 @@ pub struct RefitWorker {
 }
 
 impl RefitWorker {
-    /// A worker with no thread yet; [`Self::start`] spawns it.
+    /// A worker with no thread yet; `Self::start` spawns it.
     pub fn new() -> Self {
         Self::default()
     }

@@ -32,7 +32,7 @@
 //! index into one best-`k` buffer.
 //!
 //! Batches are executed across the persistent
-//! [`WorkerPool`](genclus_core::pool::WorkerPool) (one chunk per worker,
+//! [`WorkerPool`] (one chunk per worker,
 //! responses in request order). Requests are independent and the engine is
 //! read-only, so this parallelism is safe by construction; names are
 //! resolved through [`HinGraph::require_object_by_name`], so unknown names

@@ -30,16 +30,16 @@
 //!   resolve against the **snapshot ∪ staged** namespace (an arrival may
 //!   link to an earlier arrival of the same refresh window), and an
 //!   optional `"in_links"` field carries links *into* the arrival from
-//!   pre-existing or staged sources — appended as old-source overflow
-//!   links of the segmented adjacency. After `max_pending_objects`
+//!   pre-existing or staged sources — merged into those sources' out-link
+//!   segments at append. After `max_pending_objects`
 //!   objects / `max_pending_links` links (or on an explicit
-//!   `{"op":"refresh"}`) the engine appends the delta, re-fits with EM
+//!   `{"op":"refresh"}`) the engine appends the delta (one canonical
+//!   merge: the grown graph equals a from-scratch build), re-fits with EM
 //!   **warm-started** from the served `(Θ, β, γ)`
 //!   ([`genclus_core::algorithm::GenClus::fit_warm`] — no `InitStrategy`,
-//!   no best-of-seeds warmup), compacts the grown graph back to a
-//!   canonical CSR, atomically swaps the refreshed snapshot in, and
-//!   optionally persists it (same schema v2, new checksum). Policy knobs
-//!   live on [`refresh::RefreshPolicy`];
+//!   no best-of-seeds warmup), atomically swaps the refreshed snapshot
+//!   in, and optionally persists it (same schema v2, new checksum).
+//!   Policy knobs live on [`refresh::RefreshPolicy`];
 //! * [`background`] — the double-buffered refresh
 //!   ([`background::RefitWorker`]): every warm re-fit runs on a dedicated
 //!   worker thread. With [`refresh::RefreshPolicy::background`] reads keep
@@ -50,7 +50,7 @@
 //!   `refresh_status` op (optionally `"wait":true`) reports in-flight
 //!   state and the last outcome;
 //! * [`request`] — the wire request: each line is parsed once into a
-//!   typed [`request::Request`], and every response, on every transport,
+//!   typed `request::Request`, and every response, on every transport,
 //!   goes through one envelope;
 //! * [`wal`] — the commit write-ahead log
 //!   ([`refresh::RefreshableEngine::with_wal`], `--wal` on the binary):

@@ -17,7 +17,7 @@
 //! * refresh lifecycle — completed/failed counts, trigger→swap wall-time
 //!   histogram, pending-window gauges, and the last [`RefreshSpan`];
 //! * EM convergence — the registry is itself a
-//!   [`TraceSink`](genclus_obs::TraceSink), so a re-fit configured with
+//!   [`TraceSink`], so a re-fit configured with
 //!   `cfg.with_trace(metrics)` streams its per-outer-iteration events
 //!   (iteration wall time, objective, Θ movement) in live, observable
 //!   mid-refresh through the `metrics` op;

@@ -26,7 +26,7 @@
 //!   with each other, and a snapshot swap costs each connection one
 //!   mutex hit total, not one per request.
 //! * **Mutations serialize through one lane.** Each line is parsed once
-//!   into a [`Request`]; the variants that [`Request::takes_lane`] —
+//!   into a `Request`; the variants that `Request::takes_lane` —
 //!   `commit`ed fold-ins, `refresh`/`refresh_status`, and `stats`
 //!   (read-only, but answered by the refresh layer so WAL fields stay
 //!   visible) — go through a `Mutex<RefreshableEngine>`, the same

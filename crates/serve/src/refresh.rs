@@ -17,11 +17,12 @@
 //!   converged snapshot, a numerical fixed point — property-tested);
 //! * a refresh appends the delta to a copy of the snapshot graph, extends
 //!   `Θ` with the staged fold-in rows, and runs
-//!   [`GenClus::fit_warm`] — EM seeded from the served `(Θ, β, γ)`,
-//!   skipping `InitStrategy` entirely, reusing the cached-log kernel and
-//!   the persistent worker pool — then **atomically swaps** the new
-//!   snapshot into the engine (requests see either the old model or the
-//!   new one, never a half-built state) and optionally persists it
+//!   [`GenClus::fit_warm`](genclus_core::GenClus::fit_warm) — EM seeded
+//!   from the served `(Θ, β, γ)`, skipping `InitStrategy` entirely,
+//!   reusing the cached-log kernel and the persistent worker pool — then
+//!   **atomically swaps** the new snapshot into the engine (requests see
+//!   either the old model or the new one, never a half-built state) and
+//!   optionally persists it
 //!   ([`RefreshPolicy::persist_path`]; same schema v2, new checksum);
 //! * a failed refresh leaves the engine serving the previous snapshot and
 //!   the staged delta intact.
@@ -39,8 +40,8 @@
 //! * `"in_links":[[rel, source-name, w], …]` on a commit — links
 //!   **into** the committed object from pre-existing or staged sources
 //!   (the DBLP-style "an old author writes the new paper" direction).
-//!   They are staged alongside the commit and appended at refresh as
-//!   old-source overflow links (see `genclus_hin::graph`); they do not
+//!   They are staged alongside the commit and merged into the old
+//!   sources' out-link segments at refresh; they do not
 //!   influence the commit's own fold-in row (Eq. 10 drives a membership
 //!   through *out*-links) but do shape the warm re-fit;
 //! * `{"op":"refresh"}` — refresh now, regardless of thresholds. Inline
@@ -59,7 +60,7 @@
 //! # One refresh path, two modes
 //!
 //! Every refresh runs the same way. The engine snapshots the staged window
-//! plus a compacted copy of the served graph into a [`RefitInput`], hands
+//! plus a copy of the served graph into a `RefitInput`, hands
 //! it to the dedicated [`RefitWorker`] thread, and opens the next staging
 //! window; when the re-fit lands, the refreshed snapshot is swapped in
 //! atomically between requests — every response is produced under exactly
@@ -89,11 +90,10 @@
 //! refresh window (fold-in for a staged target reads that target's staged
 //! `Θ` row). Plain (uncommitted) fold-ins still resolve against the
 //! snapshot only — staged objects are not served until the refresh lands.
-//! At refresh the pending delta is appended (old-source links extend the
-//! graph's overflow segments), the warm re-fit runs on the grown graph —
-//! the EM kernels traverse base + overflow bit-identically to a compacted
-//! CSR — and the graph is compacted back into a canonical CSR before the
-//! new snapshot is serialized.
+//! At refresh the pending delta is appended in one canonical merge
+//! (old-source links join their sources' out-link segments), so the warm
+//! re-fit runs on — and the new snapshot serializes — exactly the graph a
+//! from-scratch build of the same history gives.
 //!
 //! # Durability (commit WAL)
 //!
@@ -280,7 +280,7 @@ impl Pending {
 /// itself from its snapshot, warm-started, under a [`RefreshPolicy`].
 ///
 /// Read-only requests delegate to the inner engine (batched across the
-/// worker pool); the requests that [take the lane](Request::takes_lane)
+/// worker pool); the requests that take the lane
 /// (`commit`ed fold-ins, `refresh`, `refresh_status`, `stats`) are applied
 /// in stream order, so a batch's responses reflect a single consistent
 /// interleaving.
@@ -613,7 +613,7 @@ impl RefreshableEngine {
 
     /// [`Self::commit`] plus `in_links`: links `(relation, source, weight)`
     /// **into** the new object from pre-existing or staged sources — the
-    /// old → new direction the overflow adjacency exists for. They are
+    /// old → new direction, where an existing object gains a link. They are
     /// staged with the commit (counted by [`Self::pending_links`]) and
     /// appended at refresh; the fold-in row is unaffected (Eq. 10 reads
     /// out-links only).
@@ -1605,7 +1605,7 @@ mod tests {
         let r = ok(&e.handle_line(r#"{"op":"refresh"}"#));
         assert_eq!(r.get("links_added").unwrap().as_usize(), Some(5));
         assert_eq!(r.get("n_links").unwrap().as_usize(), Some(12 + 5));
-        // The refreshed (compacted) snapshot serves everyone.
+        // The refreshed snapshot serves everyone.
         let m3 = ok(&e.handle_line(r#"{"op":"membership","object":"s3"}"#));
         let m6 = ok(&e.handle_line(r#"{"op":"membership","object":"s6"}"#));
         assert_eq!(m6.get("cluster"), m3.get("cluster"));
@@ -1613,7 +1613,11 @@ mod tests {
         let g = e.engine().graph();
         let s3 = g.object_by_name("s3").unwrap();
         assert_eq!(g.out_links(s3).count(), 3, "s3 gained an old→new link");
-        assert!(!g.has_overflow(), "the served snapshot is compacted");
+        assert_eq!(
+            g.out_relation_segments(s3).count(),
+            1,
+            "one chunk per relation"
+        );
     }
 
     #[test]

@@ -3,11 +3,11 @@
 //! Every transport — [`QueryEngine`](crate::engine::QueryEngine),
 //! [`RefreshableEngine`](crate::refresh::RefreshableEngine), the TCP
 //! front-end and the stdio binary — parses a request line once with
-//! [`Json::parse`] and decodes it here into a [`Request`]: the echoed
-//! `"id"` plus a typed [`Op`] whose fields borrow from the parsed
+//! [`Json::parse`] and decodes it here into a `Request`: the echoed
+//! `"id"` plus a typed `Op` whose fields borrow from the parsed
 //! [`Json`]. The variant alone decides where a request runs: `stats`,
 //! `refresh`, `refresh_status` and committed fold-ins
-//! ([`Request::takes_lane`]) go through the refresh layer's single
+//! (`Request::takes_lane`) go through the refresh layer's single
 //! writer; everything else, decode errors included, is answered from the
 //! read-only core.
 //!
@@ -18,9 +18,9 @@
 //! validated by the op itself, in a fixed order, so a request with two
 //! faults reports the same one on every transport.
 //!
-//! Every response goes through [`respond`]: `{"id"?, "ok":true, body…}`
+//! Every response goes through `respond`: `{"id"?, "ok":true, body…}`
 //! or `{"id"?, "ok":false, "error":…}`, recorded into the op's latency
-//! histogram once rendered ([`Rendered::record`]).
+//! histogram once rendered (`Rendered::record`).
 
 use crate::error::ServeError;
 use crate::json::{render_obj, Json};

@@ -501,12 +501,12 @@ impl Snapshot {
         Self::decode(bytes, header)
     }
 
-    /// The snapshot of a network and model already in hand: compacts the
-    /// graph, encodes once, and keeps the encoded bytes as the raw buffer.
-    /// Equal in every observable to `from_bytes(&to_bytes(graph, model))`
-    /// without the second checksum pass or the decode.
-    pub(crate) fn from_parts(mut graph: HinGraph, model: GenClusModel) -> Result<Self, ServeError> {
-        graph.compact();
+    /// The snapshot of a network and model already in hand: encodes once
+    /// and keeps the encoded bytes as the raw buffer. Equal in every
+    /// observable to `from_bytes(&to_bytes(graph, model))` without the
+    /// second checksum pass or the decode; an appended graph needs no
+    /// preparation, since `append` leaves it canonical.
+    pub(crate) fn from_parts(graph: HinGraph, model: GenClusModel) -> Result<Self, ServeError> {
         let (bytes, header) = encode(&graph, &model);
         cross_check(&header, &graph, &model)?;
         Ok(Self {
@@ -602,10 +602,11 @@ impl Snapshot {
 mod tests {
     use super::*;
     use genclus_core::attr_model::{ClusterComponents, GaussianComponents};
-    use genclus_hin::{HinBuilder, Schema};
+    use genclus_hin::{HinBuilder, ObjectId, Schema};
     use genclus_stats::MembershipMatrix;
 
-    fn tiny() -> (HinGraph, GenClusModel) {
+    /// The unbuilt history of `tiny()`'s network.
+    fn tiny_builder() -> HinBuilder {
         let mut s = Schema::new();
         let t = s.add_object_type("sensor");
         let nn = s.add_relation("nn", t, t);
@@ -618,7 +619,12 @@ mod tests {
         b.add_link(v1, v2, nn, 2.0).unwrap();
         b.add_numeric(v0, reading, -1.0).unwrap();
         b.add_numeric(v2, reading, 1.0).unwrap();
-        let graph = b.build().unwrap();
+        b
+    }
+
+    fn tiny() -> (HinGraph, GenClusModel) {
+        let graph = tiny_builder().build().unwrap();
+        let reading = graph.schema().attribute_by_name("reading").unwrap();
         let model = GenClusModel {
             theta: MembershipMatrix::from_rows(
                 &[vec![0.9, 0.1], vec![0.5, 0.5], vec![0.2, 0.8]],
@@ -859,31 +865,32 @@ mod tests {
         assert_eq!(empty.as_slice().as_ptr() as usize % 8, 0);
     }
 
-    /// `tiny()` grown by a delta that exercises every adjacency path: a
-    /// new object linking an old one, an old object linking a new one (an
-    /// old-source link, held in overflow until compaction, and an in-link
-    /// of the new object), and two new objects linking each other.
+    /// The links `grown()` appends to `tiny()`, by object index: a new
+    /// object linking an old one, an old object linking a new one (an
+    /// old-source link, and an in-link of the new object), and two new
+    /// objects linking each other.
+    const GROWN_LINKS: [(u32, u32, f64); 5] = [
+        (3, 2, 0.5),
+        (0, 3, 1.5),
+        (2, 4, 3.0),
+        (3, 4, 2.5),
+        (4, 3, 0.25),
+    ];
+
+    /// `tiny()` grown by `GROWN_LINKS`, two new objects and one reading.
     fn grown() -> (HinGraph, GenClusModel) {
         let (mut graph, tiny_model) = tiny();
         let t = graph.schema().object_type_by_name("sensor").unwrap();
         let nn = graph.schema().relation_by_name("nn").unwrap();
         let reading = graph.schema().attribute_by_name("reading").unwrap();
         let mut d = genclus_hin::GraphDelta::new(&graph);
-        let s3 = d.add_object(t, "s3");
+        d.add_object(t, "s3");
         let s4 = d.add_object(t, "s4");
-        let s0 = graph.object_by_name("s0").unwrap();
-        let s2 = graph.object_by_name("s2").unwrap();
-        d.add_link(s3, s2, nn, 0.5).unwrap();
-        d.add_link(s0, s3, nn, 1.5).unwrap();
-        d.add_link(s2, s4, nn, 3.0).unwrap();
-        d.add_link(s3, s4, nn, 2.5).unwrap();
-        d.add_link(s4, s3, nn, 0.25).unwrap();
+        for (src, dst, w) in GROWN_LINKS {
+            d.add_link(ObjectId(src), ObjectId(dst), nn, w).unwrap();
+        }
         d.add_numeric(s4, reading, 0.75).unwrap();
         graph.append(d).unwrap();
-        assert!(
-            graph.has_overflow(),
-            "old-source links must land in overflow"
-        );
         let model = GenClusModel {
             theta: MembershipMatrix::from_rows(
                 &[
@@ -900,14 +907,26 @@ mod tests {
         (graph, model)
     }
 
+    /// `grown()`'s network built from scratch in one sitting.
+    fn grown_rebuilt() -> HinGraph {
+        let mut b = tiny_builder();
+        let t = b.schema().object_type_by_name("sensor").unwrap();
+        let nn = b.schema().relation_by_name("nn").unwrap();
+        let reading = b.schema().attribute_by_name("reading").unwrap();
+        b.add_object(t, "s3");
+        let s4 = b.add_object(t, "s4");
+        for (src, dst, w) in GROWN_LINKS {
+            b.add_link(ObjectId(src), ObjectId(dst), nn, w).unwrap();
+        }
+        b.add_numeric(s4, reading, 0.75).unwrap();
+        b.build().unwrap()
+    }
+
     #[test]
     fn from_parts_matches_a_decoded_round_trip() {
         let (graph, model) = grown();
-        let mut compacted = graph.clone();
-        compacted.compact();
-        let decoded = Snapshot::from_bytes(&to_bytes(&compacted, &model)).unwrap();
+        let decoded = Snapshot::from_bytes(&to_bytes(&grown_rebuilt(), &model)).unwrap();
         let built = Snapshot::from_parts(graph, model).unwrap();
-        assert!(!built.graph().has_overflow());
         // Raw bytes, header and checksum.
         assert_eq!(built.raw_bytes(), decoded.raw_bytes());
         assert_eq!(built.header(), decoded.header());
