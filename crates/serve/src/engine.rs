@@ -23,10 +23,14 @@
 //! [`CandidateIndex`] per object type, built when the core is constructed
 //! — at load, and by the refresh that publishes a new core — so no
 //! request copies a candidate list or recomputes a norm. Each index holds
-//! the members' row norms and their order along one coordinate of the
-//! normalised row; a cosine query walks outward from its own key and stops
-//! where no remaining member can reach the current `k`-th score. The walk
-//! is exact and its scores are bit-identical to `Similarity::score` (see
+//! the members' row norms and splits them into one partition per dominant
+//! cluster, each sorted along its own coordinate of the normalised row. A
+//! cosine query walks its own dominant partition outward from its own
+//! value of that coordinate, then every other partition from its value of
+//! that partition's coordinate, and leaves each where no remaining member
+//! can reach the current `k`-th score; a confident query leaves the other
+//! partitions after one binary search each. The walk is exact and its
+//! scores are bit-identical to `Similarity::score` (see
 //! `genclus_core::prediction::CandidateIndex`); other similarities scan
 //! the same arrays in place, and an untyped request searches every type's
 //! index into one best-`k` buffer.
