@@ -104,8 +104,15 @@ fn random_case(seed: u64, n: usize, k: usize, n_types: usize) -> (MembershipMatr
     };
     let mut theta = MembershipMatrix::uniform(n, k);
     for i in 0..n {
-        let mut row: Vec<f64> = match rng.gen_range(0..15) {
-            0 if i > 0 => theta.row(rng.gen_range(0..i)).to_vec(),
+        let kind = rng.gen_range(0..15);
+        if kind == 0 && i > 0 {
+            // A duplicate of an earlier row, whose maximum already lies
+            // below `dominant`.
+            let copy = theta.row(rng.gen_range(0..i)).to_vec();
+            theta.row_mut(i).copy_from_slice(&copy);
+            continue;
+        }
+        let mut row: Vec<f64> = match kind {
             1 => vec![0.0; k],
             2 => vec![f64::NAN; k],
             3 => {

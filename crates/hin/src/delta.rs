@@ -440,9 +440,7 @@ impl HinGraph {
         // existing sub-segment is followed by that pair's delta links in
         // insertion order — the builder's stable per-relation grouping of
         // the same history. A stable sort of the delta by (source, relation)
-        // lines the links up for one forward walk. Each run of old sources
-        // the delta does not touch (nearly all of them) moves as one block,
-        // its offset rows shifted by where the block lands. `out_rel_weight`
+        // lines the links up for one forward walk. `out_rel_weight`
         // accumulates per link in that order (as the builder's segment sums
         // do) and the new arrays replace the old ones before the in-CSR
         // pass, so at most one spare adjacency is alive at a time.
@@ -456,23 +454,8 @@ impl HinGraph {
         let mut out_rel_offsets = Vec::with_capacity(total * stride);
         self.out_rel_weight.resize(total * n_rel, 0.0);
         out_offsets.push(0u32);
-        let mut v = 0;
         // lint: region(scale-hot)
-        while v < total {
-            let untouched_end = pending
-                .peek()
-                .map_or(base, |(src, _)| src.index().min(base));
-            if v < untouched_end {
-                let (lo, hi) = (self.out_offsets[v], self.out_offsets[untouched_end]);
-                let shift = out_links.len() as u32 - lo;
-                out_links.extend_from_slice(&self.out_links[lo as usize..hi as usize]);
-                let rows = &self.out_rel_offsets[v * stride..untouched_end * stride];
-                out_rel_offsets.extend(rows.iter().map(|&o| o + shift));
-                let ends = &self.out_offsets[v + 1..=untouched_end];
-                out_offsets.extend(ends.iter().map(|&o| o + shift));
-                v = untouched_end;
-                continue;
-            }
+        for v in 0..total {
             out_rel_offsets.push(out_links.len() as u32);
             for r in 0..n_rel {
                 if v < base {
@@ -490,7 +473,6 @@ impl HinGraph {
                 out_rel_offsets.push(out_links.len() as u32);
             }
             out_offsets.push(out_links.len() as u32);
-            v += 1;
         }
         // lint: end-region
         self.out_links = out_links;
